@@ -14,23 +14,11 @@ from __future__ import annotations
 
 import os
 
-import pyarrow.parquet as pq
-
-from .pdf_queries import FIXTURES_DIR
+from .pdf_queries import FIXTURES_DIR, _fixture_payloads
 
 
-def _load_html(concurrency=4):
-    import ray
-    import ray.data as rd
-
-    from ..pipelines.extract import extract_dataset
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "html_docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "html_payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs, ray.put(payloads)
+def _load_html():
+    return _fixture_payloads("html_docs.parquet", "html_payloads.parquet")
 
 
 def html_main_content(sf_dir: str | None = None):
@@ -46,17 +34,17 @@ def html_main_content(sf_dir: str | None = None):
 def html_doc_summary(sf_dir: str | None = None):
     """Per-document boilerplate-strip summary: (doc_id, title, n_kept,
     n_dropped, status) over the single-media html fixture docs."""
-    from ..stages.extract import HtmlSummaryStage
+    from ..stages.extract import DocRowStage
 
     docs, payloads = _load_html()
     return docs.filter(
         lambda row: not row["doc_id"].startswith("hm")
     ).map_batches(
-        HtmlSummaryStage,
-        fn_constructor_kwargs={"payloads": payloads},
+        DocRowStage,
+        fn_constructor_kwargs={"payloads": payloads, "emit": "html_summary"},
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=4,
+        concurrency=2,
         num_cpus=1,
     )
 

@@ -20,21 +20,43 @@ FIXTURES_DIR = os.path.join(
 )
 
 
-def _load(concurrency=4, apply_tounicode=False, apply_actual_text=False,
-          recover=False, strip_artifacts=False, strip_hidden_ocg=False):
+def _fixture_payloads(docs_file="docs.parquet", payloads_file="payloads.parquet"):
+    """A committed fixture corpus as (docs Dataset, ObjectRef of the
+    ``media_ref -> bytes`` payload store)."""
     import ray
     import ray.data as rd
 
-    from ..pipelines.extract import extract_dataset
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
+    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, docs_file))
+    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, payloads_file))
     payloads = dict(
         zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
     )
+    return docs, ray.put(payloads)
+
+
+def _fixture_stage_query(kind: str):
+    """The fixture corpus through an actor-pool ``DocRowStage(emit=kind)``."""
+    from ..stages.extract import DocRowStage
+
+    docs, payloads = _fixture_payloads()
+    return docs.map_batches(
+        DocRowStage,
+        fn_constructor_kwargs={"payloads": payloads, "emit": kind},
+        batch_format="pyarrow",
+        batch_size=64,
+        concurrency=2,
+        num_cpus=1,
+    )
+
+
+def _load(concurrency=4, apply_tounicode=False, apply_actual_text=False,
+          recover=False, strip_artifacts=False, strip_hidden_ocg=False):
+    from ..pipelines.extract import extract_dataset
+
+    docs, payloads = _fixture_payloads()
     return extract_dataset(
         docs,
-        ray.put(payloads),
+        payloads,
         concurrency=concurrency,
         apply_tounicode=apply_tounicode,
         apply_actual_text=apply_actual_text,
@@ -66,19 +88,12 @@ def pdf_extract_spans_split(sf_dir: str | None = None):
     """Extraction through the giant-doc SPLIT path (page-range work units
     -> ordered reassembly, stages/skew.py) over the single-media fixture
     docs — must be span-for-span identical to the direct path's golden."""
-    import ray
-    import ray.data as rd
-
     from ..pipelines.extract import explode_spans
     from ..stages.skew import extract_split
 
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
+    docs, payloads = _fixture_payloads()
     out = extract_split(
-        docs, ray.put(payloads), pages_per_unit=30, concurrency=4, batch_size=16
+        docs, payloads, pages_per_unit=30, concurrency=4, batch_size=16
     )
     return explode_spans(out)
 
@@ -92,20 +107,14 @@ def pdf_image_features(sf_dir: str | None = None):
     """Extract image blobs -> multimodal ImageFeatureStage (decode PNG,
     vectorized pixel features). Oracle: constants derived by hand from the
     fixture's literal pixel data (corpus.py IMG_PIXELS)."""
-    import ray
-    import ray.data as rd
-
     from ..pipelines.extract import extract_image_blobs
     from ..stages.multimodal import ImageFeatureStage
 
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    blobs = extract_image_blobs(docs, ray.put(payloads), concurrency=2)
+    blobs = extract_image_blobs(*_fixture_payloads(), concurrency=2)
+    # 2 + 1 actors leave a CPU of a 4-CPU cluster for the dedup exchange's
+    # tasks; with 2 + 2 every CPU is held by an actor and the query hangs
     return blobs.map_batches(
-        ImageFeatureStage, batch_format="pyarrow", concurrency=2, batch_size=16
+        ImageFeatureStage, batch_format="pyarrow", concurrency=1, batch_size=16
     )
 
 
@@ -150,33 +159,16 @@ def _image_features_oracle() -> str:
 
 def pdf_annotations(sf_dir: str | None = None):
     """Annotation text extraction (FreeText/Text /Contents + Widget field
-    values with /Parent inheritance): actor-pool AnnotationStage over the
-    fixture corpus. Oracle: the hand-written F28_ANNOTS golden expanded
+    values with /Parent inheritance): the ``annotations`` DocRowStage over
+    the fixture corpus. Oracle: the hand-written F28_ANNOTS golden expanded
     per replica."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import AnnotationStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        AnnotationStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("annotations")
 
 
 # The corpus's two poison fixtures fail Document() with these exact
-# (deterministic) messages; the annotation/outline stages surface them as
-# explicit error rows rather than silently dropping the doc, so the
-# oracles expect them too.
+# (deterministic) messages; every DocRowStage kind with an error row
+# surfaces them rather than silently dropping the doc, so the oracles
+# expect them too.
 _POISON_ERRORS = [
     ("f19a", "PdfParseError: startxref not found"),
     ("f19b", "PdfParseError: xref offset 999999999 beyond EOF"),
@@ -269,26 +261,9 @@ def _recovered_oracle() -> str:
 
 def pdf_outlines(sf_dir: str | None = None):
     """Outline/bookmark extraction (depth-first title hierarchy):
-    actor-pool OutlineStage over the fixture corpus. Oracle: the
+    the ``outlines`` DocRowStage over the fixture corpus. Oracle: the
     hand-written F31_OUTLINES golden expanded per replica."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import OutlineStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        OutlineStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("outlines")
 
 
 def pdf_structure_text(sf_dir: str | None = None):
@@ -297,24 +272,7 @@ def pdf_structure_text(sf_dir: str | None = None):
     reading order as tagged, independent of paint order (the reference
     captures the StructTreeRoot ref and never walks it, src/catalog.rs).
     Oracle: the hand-written F39_STRUCTURE golden expanded per replica."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import StructureStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        StructureStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("structure")
 
 
 def _structure_oracle() -> str:
@@ -576,26 +534,9 @@ def pdf_main_content_quality(sf_dir: str | None = None):
 def pdf_form_fields(sf_dir: str | None = None):
     """Catalog-level AcroForm field extraction (dotted qualified names,
     /FT //V inheritance, widget-only kids don't split a field):
-    actor-pool FormFieldStage over the fixture corpus. Oracle: the
+    the ``form_fields`` DocRowStage over the fixture corpus. Oracle: the
     hand-written F40_FORM golden expanded per replica."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import FormFieldStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        FormFieldStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("form_fields")
 
 
 def _form_fields_oracle() -> str:
@@ -664,18 +605,10 @@ def image_phash_dedup(sf_dir: str | None = None):
     so for k=6 the LSH is EXACT. Oracle: an independent pure-Python
     dHash recomputation from the fixtures' literal pixel constants,
     enumerated exhaustively over all hash pairs."""
-    import ray
-    import ray.data as rd
-
     from ..pipelines.extract import extract_image_blobs
     from ..stages.multimodal import dhash63
 
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    blobs = extract_image_blobs(docs, ray.put(payloads), concurrency=2)
+    blobs = extract_image_blobs(*_fixture_payloads(), concurrency=2)
 
     import numpy as np
     import pandas as pd
@@ -854,28 +787,12 @@ PDF_ORACLE_SQL["image_phash_dedup"] = _phash_oracle()
 def pdf_page_labels(sf_dir: str | None = None):
     """Catalog /PageLabels number-tree walk (Kids/Limits/Nums) with
     §12.4.2 label formatting (roman/decimal/letter styles, prefixes,
-    start offsets): actor-pool PageLabelStage over the fixture corpus.
+    start offsets): the ``page_labels`` DocRowStage over the fixture
+    corpus.
     Oracle: the hand-written F45_LABELS golden expanded per replica.
     The reference ships the generic number-tree structure
     (src/data_structures/number_tree.rs) but never surfaces labels."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import PageLabelStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        PageLabelStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("page_labels")
 
 
 def _page_labels_oracle() -> str:
@@ -900,32 +817,11 @@ def _page_labels_oracle() -> str:
 PDF_ORACLE_SQL["pdf_page_labels"] = _page_labels_oracle()
 
 
-def _fixture_stage_query(stage_cls):
-    import ray
-    import ray.data as rd
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        stage_cls,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
-
-
 def pdf_metadata(sf_dir: str | None = None):
     """Trailer /Info extraction (title/author/subject/producer + parsed
-    CreationDate): actor-pool MetadataStage over the fixture corpus.
+    CreationDate): the ``metadata`` DocRowStage over the fixture corpus.
     Oracle: the hand-written F46_INFO golden expanded per replica."""
-    from ..stages.extract import MetadataStage
-
-    return _fixture_stage_query(MetadataStage)
+    return _fixture_stage_query("metadata")
 
 
 def _metadata_oracle() -> str:
@@ -956,12 +852,10 @@ PDF_ORACLE_SQL["pdf_metadata"] = _metadata_oracle()
 
 def pdf_embedded_files(sf_dir: str | None = None):
     """Attachment extraction from the /Names -> /EmbeddedFiles name tree
-    (Kids/Limits recursion, /EF /F payload streams decoded): actor-pool
-    EmbeddedFileStage. Oracle: hand-derived md5/size constants of the
+    (Kids/Limits recursion, /EF /F payload streams decoded): the
+    ``embedded_files`` DocRowStage. Oracle: hand-derived md5/size constants of the
     literal ATTACH_A/ATTACH_B payload bytes, per replica."""
-    from ..stages.extract import EmbeddedFileStage
-
-    return _fixture_stage_query(EmbeddedFileStage)
+    return _fixture_stage_query("embedded_files")
 
 
 def _embedded_files_oracle() -> str:
@@ -996,13 +890,11 @@ PDF_ORACLE_SQL["pdf_embedded_files"] = _embedded_files_oracle()
 
 def pdf_font_spans(sf_dir: str | None = None):
     """Font-attributed text spans (/BaseFont + Tf size per show op,
-    through form-XObject font scoping): actor-pool FontSpanStage,
+    through form-XObject font scoping): the ``font_spans`` DocRowStage,
     projected to the f48 multi-font fixture docs (the corpus-wide stage
     is generic; the hand-written golden covers the fixture built for
     it). The reference carries this state for rendering
     (src/render/text_state.rs) but never exposes it."""
-    from ..stages.extract import FontSpanStage
-
     def only_f48(t: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
 
@@ -1010,7 +902,7 @@ def pdf_font_spans(sf_dir: str | None = None):
             _pc.starts_with(t.column("doc_id"), pattern="f48-")
         )
 
-    return _fixture_stage_query(FontSpanStage).map_batches(
+    return _fixture_stage_query("font_spans").map_batches(
         only_f48, batch_format="pyarrow"
     )
 
@@ -1036,27 +928,10 @@ PDF_ORACLE_SQL["pdf_font_spans"] = _font_spans_oracle()
 def pdf_icc_profiles(sf_dir: str | None = None):
     """ICC profile introspection (/ICCBased colorspace streams): header
     fields + tag-table signatures per profile, the reference's
-    src/icc_profile surface (round-4 verdict missing #4). Actor-pool
-    IccProfileStage over the fixture corpus; oracle = the literal
+    src/icc_profile surface (round-4 verdict missing #4). The
+    ``icc_profiles`` DocRowStage over the fixture corpus; oracle = the literal
     hand-built profile constants (corpus.ICC_HEADER / ICC_TAGS)."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.extract import IccProfileStage
-
-    docs = rd.read_parquet(os.path.join(FIXTURES_DIR, "docs.parquet"))
-    ptbl = pq.read_table(os.path.join(FIXTURES_DIR, "payloads.parquet"))
-    payloads = dict(
-        zip(ptbl.column("media_ref").to_pylist(), ptbl.column("bytes").to_pylist())
-    )
-    return docs.map_batches(
-        IccProfileStage,
-        fn_constructor_kwargs={"payloads": ray.put(payloads)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=1,
-    )
+    return _fixture_stage_query("icc_profiles")
 
 
 def _icc_profiles_oracle() -> str:

@@ -5,12 +5,14 @@ a failed 100-TB run re-writes only the missing shards, never the whole
 output).
 
 Layout: ``out_dir/part-SSSS.parquet`` + ``out_dir/_lineage/shard-SSSS.json``
-(``{shard, n_rows, n_keep, file}``). The manifest is the commit record:
-the shard publishes first, then its manifest (both atomically via
-tmp+rename), so a crash between the two leaves an orphan shard no
-manifest lists; ``resume=True`` garbage-collects orphans and re-runs
+(``{shard, n_shards, n_rows, n_keep, file}``). The manifest is the
+commit record: the shard publishes first, then its manifest (both
+atomically via tmp+rename), so a crash between the two leaves an orphan
+shard no manifest lists; ``resume=True`` garbage-collects orphans and re-runs
 only the uncommitted shards. Shard key = ``doc_id %% n_shards`` —
-deterministic, so a resume recomputes exactly the missing shards' rows.
+deterministic, so a resume recomputes exactly the missing shards' rows;
+a resume with a different ``n_shards`` is refused, since the committed
+shard ids would name other doc sets.
 
 The filter decisions come from ``ops.textstats.curate_corpus`` (keep /
 first-failing-reason per doc); this module only adds the exactly-once
@@ -86,7 +88,16 @@ def write_curated(
     done: set[int] = set()
     if resume:
         gc_orphan_shards(out_dir)
-        done = {int(m["shard"]) for m in _read_manifests(out_dir)}
+        manifests = _read_manifests(out_dir)
+        for m in manifests:
+            if m.get("n_shards") != n_shards:
+                raise ValueError(
+                    "resume refused: out_dir was committed with n_shards="
+                    f"{m.get('n_shards')} but this run uses {n_shards}; its "
+                    "shard ids name other doc sets. Use a fresh out_dir or "
+                    "resume=False."
+                )
+        done = {int(m["shard"]) for m in manifests}
 
     ds = curate_corpus(sf_dir)
 
@@ -108,6 +119,7 @@ def write_curated(
         os.rename(tmp, path)  # publish shard
         man = {
             "shard": shard,
+            "n_shards": n_shards,
             "n_rows": int(len(g)),
             "n_keep": int(g["keep"].sum()),
             "file": fname,

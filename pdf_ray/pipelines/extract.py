@@ -99,21 +99,32 @@ def extract_image_blobs(docs_ds, payloads, concurrency=4, batch_size: int = 64):
     hash-partitioned groupby)."""
     import ray
 
-    from ..stages.extract import ImageBlobStage
+    from ..stages.extract import DocRowStage
 
     ref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     blobs = docs_ds.map_batches(
-        ImageBlobStage,
-        fn_constructor_kwargs={"payloads": ref},
+        DocRowStage,
+        fn_constructor_kwargs={"payloads": ref, "emit": "images"},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
         num_cpus=1,
     )
 
-    def first_per_ref(g):
-        return g.head(1)
+    def first_per_batch(t: pa.Table) -> pa.Table:
+        # one copy per batch enters the exchange, as the stage emits one
+        # row per (document, image)
+        seen, keep = set(), []
+        for i, r in enumerate(t.column("media_ref").to_pylist()):
+            if r not in seen:
+                seen.add(r)
+                keep.append(i)
+        return t.select(["media_ref", "png"]).take(keep)
 
+    def first_per_ref(g):
+        return g.head(1)[["media_ref", "png"]]
+
+    blobs = blobs.map_batches(first_per_batch, batch_format="pyarrow")
     return blobs.groupby("media_ref").map_groups(
         first_per_ref, batch_format="pandas"
     )
@@ -318,7 +329,6 @@ def run_extract(
     concurrency=4,
     batch_size: int = 64,
     resume: bool = True,
-    fused: bool = True,
     strip_artifacts: bool = False,
 ):
     """Run the flagship pipeline with per-partition lineage + resume.
@@ -332,9 +342,8 @@ def run_extract(
     committed output via ``read_extracted`` (manifest-listed files only),
     which together give exactly-once output semantics.
 
-    ``fused=True`` (default) writes shards from inside the extract actors
-    (ExtractWriteStage) so span tables never transit the object store;
-    ``fused=False`` keeps the two-stage extract -> write pipeline.
+    Shards are written from inside the extract actors (ExtractWriteStage),
+    so span tables never transit the object store.
     """
     import ray
     import ray.data as rd
@@ -363,74 +372,18 @@ def run_extract(
 
     os.makedirs(_manifest_dir(output_dir), exist_ok=True)
 
-    if fused:
-        pref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
-        stats = docs_ds.map_batches(
-            ExtractWriteStage,
-            fn_constructor_kwargs={
-                "payloads": pref,
-                "output_dir": output_dir,
-                "strip_artifacts": strip_artifacts,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        ).to_pandas()
-        if "n_ok" not in stats.columns:
-            return {"n_ok": 0, "n_err": 0, "skipped": skipped}
-        return {
-            "n_ok": int(stats["n_ok"].sum()),
-            "n_err": int(stats["n_err"].sum()),
-            "skipped": skipped,
-        }
-
-    extracted = extract_dataset(
-        docs_ds,
-        payloads,
-        concurrency=concurrency,
+    pref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
+    stats = docs_ds.map_batches(
+        ExtractWriteStage,
+        fn_constructor_kwargs={
+            "payloads": pref,
+            "output_dir": output_dir,
+            "strip_artifacts": strip_artifacts,
+        },
+        batch_format="pyarrow",
         batch_size=batch_size,
-        strip_artifacts=strip_artifacts,
-    )
-
-    def write_partition(batch: pa.Table) -> pa.Table:
-        import hashlib
-        import pyarrow.parquet as pq
-
-        if batch.num_rows == 0:
-            return pa.table({"n_ok": pa.array([], pa.int64()),
-                             "n_err": pa.array([], pa.int64())})
-        # content-derived shard id: task retries overwrite, not duplicate
-        task_id = hashlib.sha256(
-            "\n".join(batch.column("doc_id").to_pylist()).encode()
-        ).hexdigest()[:16]
-        part = os.path.join(output_dir, f"part-{task_id}.parquet")
-        tmp = part + ".tmp"
-        pq.write_table(batch, tmp)
-        os.replace(tmp, part)
-        n_err = pc.sum(
-            pc.cast(pc.equal(batch.column("status"), "error"), pa.int64())
-        ).as_py() or 0
-        manifest = {
-            "doc_ids": batch.column("doc_id").to_pylist(),
-            "n_ok": batch.num_rows - n_err,
-            "n_err": n_err,
-            "file": os.path.basename(part),
-            "flags": flags,
-        }
-        mtmp = os.path.join(_manifest_dir(output_dir), f"{task_id}.json.tmp")
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(mtmp, mtmp[:-4])
-        return pa.table(
-            {
-                "n_ok": pa.array([manifest["n_ok"]], pa.int64()),
-                "n_err": pa.array([n_err], pa.int64()),
-            }
-        )
-
-    stats = extracted.map_batches(
-        write_partition, batch_format="pyarrow", batch_size=4096
+        concurrency=concurrency,
+        num_cpus=1,
     ).to_pandas()
     if "n_ok" not in stats.columns:  # fully-resumed run: nothing to do
         return {"n_ok": 0, "n_err": 0, "skipped": skipped}

@@ -1,4 +1,9 @@
-"""The extraction stage: an actor-pool ``map_batches`` callable.
+"""The extraction stages: actor-pool ``map_batches`` callables.
+
+``ExtractStage`` emits the span sequence of every document (the hot
+path, with columnar batch assembly). ``DocRowStage`` emits one of the
+``EMITTERS`` kinds — annotations, outlines, image blobs, structure, form
+fields, ... — as flat rows, with one poison rule for all of them.
 
 Design (SURVEY.md §2.8, §4):
 - stateful pieces (payload store handle, font cache) live in ``__init__``
@@ -18,6 +23,8 @@ Design (SURVEY.md §2.8, §4):
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, NamedTuple
+
 import pyarrow as pa
 
 from ..pdfcore.interp import Interpreter
@@ -25,6 +32,28 @@ from ..pdfcore.document import Document
 from ..schema import EXTRACTED
 
 _MAX_ERROR_LEN = 512
+
+
+def payload_fetcher(payloads=None, payload_resolver=None):
+    """``media_ref -> bytes`` for a stage, read from the broadcast store
+    (``payloads``: the dict or its ``ObjectRef``), else from the caller's
+    ``payload_resolver`` (``media_ref -> bytes | None``). A payload found
+    in neither raises ``KeyError``, which becomes the document's error
+    row."""
+    if payloads is not None:
+        import ray
+
+        get = (payloads if isinstance(payloads, dict) else ray.get(payloads)).get
+    else:
+        get = payload_resolver or (lambda ref: None)
+
+    def fetch(ref):
+        blob = get(ref)
+        if blob is None:
+            raise KeyError(f"payload {ref!r} not found")
+        return blob
+
+    return fetch
 
 
 class ExtractStage:
@@ -42,15 +71,7 @@ class ExtractStage:
         strip_artifacts=False,
         strip_hidden_ocg=False,
     ):
-        if payloads is not None:
-            import ray
-
-            store = ray.get(payloads) if not isinstance(payloads, dict) else payloads
-            self.resolver = store.get
-        elif payload_resolver is not None:
-            self.resolver = payload_resolver
-        else:
-            self.resolver = lambda ref: None
+        self.fetch = payload_fetcher(payloads, payload_resolver)
         self.collect_images = collect_images
         self.apply_tounicode = apply_tounicode
         self.apply_actual_text = apply_actual_text
@@ -132,9 +153,7 @@ class ExtractStage:
                 refs.append(None)
             elif kind == "media":
                 ref = sp.get("media_ref")
-                pdf_bytes = self.resolver(ref)
-                if pdf_bytes is None:
-                    raise KeyError(f"payload {ref!r} not found")
+                pdf_bytes = self.fetch(ref)
                 if ref.startswith("html://"):
                     # HTML half of the main-content rule: boilerplate
                     # strip + DOM heuristics (htmlcore). Dispatch is by
@@ -177,600 +196,241 @@ class ExtractStage:
         orders.extend(range(len(kinds) - start))
 
 
-class AnnotationStage(ExtractStage):
-    """Variant that emits ANNOTATION text rows (doc_id, page_index,
-    annot_index, subtype, text, field_name) — FreeText/Text /Contents and
-    Widget field values, the content a reader misses if only content
-    streams are extracted (reference model: src/annotation/mod.rs).
-    Same actor-pool shape and poison containment as ExtractStage."""
+class Emitter(NamedTuple):
+    """One ``DocRowStage`` output kind.
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.annotations import page_annotations
+    ``rows(blob, font_cache)`` yields one payload's row tuples: every
+    column of ``schema`` after ``doc_id``. ``error_row(msg)`` is the row a
+    failed payload emits instead, or ``None`` to emit nothing. Only media
+    refs that start with ``scheme`` are read."""
 
-        rows: dict[str, list] = {
-            "doc_id": [], "page_index": [], "annot_index": [],
-            "subtype": [], "text": [], "field_name": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    for pi, page in enumerate(doc.pages):
-                        for ai, a in enumerate(page_annotations(doc, page)):
-                            rows["doc_id"].append(doc_id)
-                            rows["page_index"].append(pi)
-                            rows["annot_index"].append(ai)
-                            rows["subtype"].append(a["subtype"])
-                            rows["text"].append(a["text"])
-                            rows["field_name"].append(a["field_name"])
-                except Exception as e:
-                    # row-level poison containment, made VISIBLE: a doc
-                    # whose annotation walk fails (e.g. one unknown
-                    # subtype) emits an explicit error row instead of
-                    # silently dropping all its annotations
-                    rows["doc_id"].append(doc_id)
-                    rows["page_index"].append(-1)
-                    rows["annot_index"].append(-1)
-                    rows["subtype"].append("__error__")
-                    rows["text"].append(
-                        f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-                    rows["field_name"].append(None)
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "page_index": pa.array(rows["page_index"], pa.int32()),
-                "annot_index": pa.array(rows["annot_index"], pa.int32()),
-                "subtype": pa.array(rows["subtype"], pa.string()),
-                "text": pa.array(rows["text"], pa.string()),
-                "field_name": pa.array(rows["field_name"], pa.string()),
-            }
-        )
+    schema: pa.Schema
+    rows: Callable[[bytes, object], Iterable[tuple]]
+    error_row: Callable[[str], tuple] | None
+    scheme: str = ""
 
 
-class OutlineStage(ExtractStage):
-    """Variant that emits document OUTLINE rows (doc_id, order, level,
-    title) — the bookmark hierarchy in depth-first display order
-    (reference model: src/catalog.rs /Outlines). Same actor-pool shape
-    and poison containment as ExtractStage."""
+def _annotation_rows(blob, font_cache):
+    # FreeText/Text /Contents and Widget field values: the text a reader
+    # misses if only content streams are extracted (src/annotation/mod.rs)
+    from ..pdfcore.annotations import page_annotations
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.outlines import document_outlines
-
-        rows: dict[str, list] = {
-            "doc_id": [], "order": [], "level": [], "title": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    for o in document_outlines(doc):
-                        rows["doc_id"].append(doc_id)
-                        rows["order"].append(o["order"])
-                        rows["level"].append(o["level"])
-                        rows["title"].append(o["title"])
-                except Exception as e:
-                    # explicit error marker row (order=level=-1 is
-                    # impossible for a real outline): failed docs are
-                    # visible downstream, not silently bookmark-less
-                    rows["doc_id"].append(doc_id)
-                    rows["order"].append(-1)
-                    rows["level"].append(-1)
-                    rows["title"].append(
-                        f"__error__ {type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "order": pa.array(rows["order"], pa.int32()),
-                "level": pa.array(rows["level"], pa.int32()),
-                "title": pa.array(rows["title"], pa.string()),
-            }
-        )
+    doc = Document(blob)
+    for pi, page in enumerate(doc.pages):
+        for ai, a in enumerate(page_annotations(doc, page)):
+            yield pi, ai, a["subtype"], a["text"], a["field_name"]
 
 
-class ImageBlobStage(ExtractStage):
-    """Variant that emits the extracted image BLOBS instead of spans:
-    (media_ref, png). Downstream: dedupe on media_ref (content-addressed,
-    identical blobs collapse) and feed the multimodal stages or a blob
-    sink. Same actor-pool shape and error containment as ExtractStage."""
+def _outline_rows(blob, font_cache):
+    # the bookmark hierarchy in depth-first display order (src/catalog.rs)
+    from ..pdfcore.outlines import document_outlines
 
-    def __init__(self, payloads=None, payload_resolver=None):
-        super().__init__(
-            payloads=payloads,
-            payload_resolver=payload_resolver,
-            collect_images=True,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs: list[str] = []
-        blobs: list[bytes] = []
-        seen: set[str] = set()
-        for spans in batch.column("spans").to_pylist():
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                pdf_bytes = self.resolver(sp.get("media_ref"))
-                if pdf_bytes is None:
-                    continue
-                try:
-                    doc = Document(pdf_bytes)
-                    interp = Interpreter(
-                        doc, collect_images=True, font_cache=self.font_cache
-                    )
-                    interp.run()
-                except Exception:
-                    continue  # poison rows contribute no blobs
-                for ref, png in interp.images.items():
-                    if ref not in seen:
-                        seen.add(ref)
-                        refs.append(ref)
-                        blobs.append(png)
-        return pa.table(
-            {
-                "media_ref": pa.array(refs, pa.string()),
-                "png": pa.array(blobs, pa.large_binary()),
-            }
-        )
+    for o in document_outlines(Document(blob)):
+        yield o["order"], o["level"], o["title"]
 
 
-class HtmlSummaryStage(ExtractStage):
-    """Per-document HTML boilerplate-strip summary: (doc_id, title,
-    n_kept, n_dropped, status) for docs whose media spans are HTML
-    payloads (``html://`` scheme). The classifier itself is total, so the
-    only error row is a missing payload. Same actor-pool shape and
-    broadcast payload store as ExtractStage."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..htmlcore import extract_main_content
-
-        rows: dict[str, list] = {
-            "doc_id": [], "title": [], "n_kept": [], "n_dropped": [],
-            "status": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media" or not str(
-                    sp.get("media_ref") or ""
-                ).startswith("html://"):
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                rows["doc_id"].append(doc_id)
-                if blob is None:
-                    rows["title"].append(None)
-                    rows["n_kept"].append(-1)
-                    rows["n_dropped"].append(-1)
-                    rows["status"].append("error")
-                    continue
-                r = extract_main_content(blob)
-                rows["title"].append(r["title"])
-                rows["n_kept"].append(r["n_kept"])
-                rows["n_dropped"].append(r["n_dropped"])
-                rows["status"].append("ok")
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "title": pa.array(rows["title"], pa.string()),
-                "n_kept": pa.array(rows["n_kept"], pa.int32()),
-                "n_dropped": pa.array(rows["n_dropped"], pa.int32()),
-                "status": pa.array(rows["status"], pa.string()),
-            }
-        )
+def _image_rows(blob, font_cache):
+    # content-addressed (media_ref, png) blobs; extract_image_blobs
+    # dedupes them across the corpus
+    interp = Interpreter(Document(blob), collect_images=True, font_cache=font_cache)
+    interp.run()
+    return interp.images.items()
 
 
-class StructureStage(ExtractStage):
-    """Variant that emits TAGGED-STRUCTURE rows (doc_id, elem_order, role,
-    page_index, text): the /StructTreeRoot depth-first walk with each
-    element's text assembled from its marked-content sequences — logical
-    reading order, independent of paint order (pdfcore/structure.py; the
-    reference captures the StructTreeRoot ref and never walks it,
-    src/catalog.rs). Same actor-pool shape and poison containment as
-    ExtractStage; untagged docs emit nothing."""
+def _html_summary_rows(blob, font_cache):
+    # the boilerplate classifier is total: only a missing payload fails
+    from ..htmlcore import extract_main_content
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.structure import structure_text
-
-        rows: dict[str, list] = {
-            "doc_id": [], "elem_order": [], "role": [],
-            "page_index": [], "text": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    for el in structure_text(doc):
-                        rows["doc_id"].append(doc_id)
-                        rows["elem_order"].append(el["order"])
-                        rows["role"].append(el["role"])
-                        rows["page_index"].append(el["page_index"])
-                        rows["text"].append(el["text"])
-                except Exception as e:
-                    # explicit error marker row, like Annotation/Outline
-                    rows["doc_id"].append(doc_id)
-                    rows["elem_order"].append(-1)
-                    rows["role"].append("__error__")
-                    rows["page_index"].append(-1)
-                    rows["text"].append(
-                        f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "elem_order": pa.array(rows["elem_order"], pa.int32()),
-                "role": pa.array(rows["role"], pa.string()),
-                "page_index": pa.array(rows["page_index"], pa.int32()),
-                "text": pa.array(rows["text"], pa.string()),
-            }
-        )
+    r = extract_main_content(blob)
+    return [(r["title"], r["n_kept"], r["n_dropped"], "ok")]
 
 
-class FormFieldStage(ExtractStage):
-    """Variant that emits ACROFORM FIELD rows (doc_id, field_order, name,
-    ftype, value): the catalog-level /AcroForm field-tree walk with
-    dotted fully-qualified names and /FT //V inheritance
-    (pdfcore/acroform.py) — catches fields whose widgets span pages or
-    are absent, which the per-page annotation pass cannot. Same
-    actor-pool shape and poison containment as ExtractStage."""
+def _structure_rows(blob, font_cache):
+    # /StructTreeRoot depth-first walk, each element's text assembled from
+    # its marked-content sequences: logical reading order, independent of
+    # paint order (pdfcore/structure.py). Untagged docs emit nothing.
+    from ..pdfcore.structure import structure_text
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.acroform import form_fields
-
-        rows: dict[str, list] = {
-            "doc_id": [], "field_order": [], "name": [],
-            "ftype": [], "value": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    for f in form_fields(doc):
-                        rows["doc_id"].append(doc_id)
-                        rows["field_order"].append(f["order"])
-                        rows["name"].append(f["name"])
-                        rows["ftype"].append(f["ftype"])
-                        rows["value"].append(f["value"])
-                except Exception as e:
-                    rows["doc_id"].append(doc_id)
-                    rows["field_order"].append(-1)
-                    rows["name"].append("__error__")
-                    rows["ftype"].append(None)
-                    rows["value"].append(
-                        f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "field_order": pa.array(rows["field_order"], pa.int32()),
-                "name": pa.array(rows["name"], pa.string()),
-                "ftype": pa.array(rows["ftype"], pa.string()),
-                "value": pa.array(rows["value"], pa.string()),
-            }
-        )
+    for el in structure_text(Document(blob)):
+        yield el["order"], el["role"], el["page_index"], el["text"]
 
 
-class PageLabelStage(ExtractStage):
-    """Variant that emits PAGE LABEL rows (doc_id, page_index, label):
-    the catalog /PageLabels number-tree walk + §12.4.2 formatting
-    (pdfcore/pagelabels.py). Docs without /PageLabels emit nothing.
-    Same actor-pool shape and poison containment as ExtractStage."""
+def _form_field_rows(blob, font_cache):
+    # catalog-level /AcroForm field tree, dotted qualified names and /FT
+    # /V inheritance (pdfcore/acroform.py): catches fields whose widgets
+    # span pages or are absent, which the annotation pass cannot
+    from ..pdfcore.acroform import form_fields
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.pagelabels import page_labels
-
-        rows: dict[str, list] = {"doc_id": [], "page_index": [], "label": []}
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    for idx, label in page_labels(doc):
-                        rows["doc_id"].append(doc_id)
-                        rows["page_index"].append(idx)
-                        rows["label"].append(label)
-                except Exception as e:
-                    rows["doc_id"].append(doc_id)
-                    rows["page_index"].append(-1)
-                    rows["label"].append(
-                        "__error__ " + f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "page_index": pa.array(rows["page_index"], pa.int32()),
-                "label": pa.array(rows["label"], pa.string()),
-            }
-        )
+    for f in form_fields(Document(blob)):
+        yield f["order"], f["name"], f["ftype"], f["value"]
 
 
-class MetadataStage(ExtractStage):
-    """Variant that emits one /Info METADATA row per doc that has one
-    (doc_id, title, author, subject, producer, created_y/m/d). Same
-    actor-pool shape and poison containment as ExtractStage."""
+def _page_label_rows(blob, font_cache):
+    # /PageLabels number tree + §12.4.2 formatting (pdfcore/pagelabels.py)
+    from ..pdfcore.pagelabels import page_labels
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.attachments import doc_metadata
-
-        rows: dict[str, list] = {
-            "doc_id": [], "title": [], "author": [], "subject": [],
-            "producer": [], "created_y": [], "created_m": [], "created_d": [],
-        }
-
-        def emit(doc_id, m):
-            rows["doc_id"].append(doc_id)
-            for k in ("title", "author", "subject", "producer"):
-                rows[k].append(m.get(k))
-            for k in ("created_y", "created_m", "created_d"):
-                rows[k].append(m.get(k, -1))
-
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    m = doc_metadata(Document(blob))
-                    if m is not None:
-                        emit(doc_id, m)
-                except Exception as e:
-                    emit(
-                        doc_id,
-                        {
-                            "title": "__error__",
-                            "producer": f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN],
-                        },
-                    )
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "title": pa.array(rows["title"], pa.string()),
-                "author": pa.array(rows["author"], pa.string()),
-                "subject": pa.array(rows["subject"], pa.string()),
-                "producer": pa.array(rows["producer"], pa.string()),
-                "created_y": pa.array(rows["created_y"], pa.int32()),
-                "created_m": pa.array(rows["created_m"], pa.int32()),
-                "created_d": pa.array(rows["created_d"], pa.int32()),
-            }
-        )
+    return page_labels(Document(blob))
 
 
-class EmbeddedFileStage(ExtractStage):
-    """Variant that emits ATTACHMENT rows (doc_id, name, filename,
-    n_bytes, md5) from the /Names -> /EmbeddedFiles name tree. Same
-    actor-pool shape and poison containment as ExtractStage."""
+def _metadata_rows(blob, font_cache):
+    # one trailer /Info row per doc that has one
+    from ..pdfcore.attachments import doc_metadata
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.attachments import embedded_files
-
-        rows: dict[str, list] = {
-            "doc_id": [], "name": [], "filename": [], "n_bytes": [], "md5": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    for f in embedded_files(Document(blob)):
-                        rows["doc_id"].append(doc_id)
-                        rows["name"].append(f["name"])
-                        rows["filename"].append(f["filename"])
-                        rows["n_bytes"].append(f["n_bytes"])
-                        rows["md5"].append(f["md5"])
-                except Exception as e:
-                    rows["doc_id"].append(doc_id)
-                    rows["name"].append("__error__")
-                    rows["filename"].append(
-                        f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-                    rows["n_bytes"].append(-1)
-                    rows["md5"].append(None)
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "name": pa.array(rows["name"], pa.string()),
-                "filename": pa.array(rows["filename"], pa.string()),
-                "n_bytes": pa.array(rows["n_bytes"], pa.int64()),
-                "md5": pa.array(rows["md5"], pa.string()),
-            }
-        )
+    m = doc_metadata(Document(blob))
+    if m is None:
+        return []
+    return [(
+        m.get("title"), m.get("author"), m.get("subject"), m.get("producer"),
+        m.get("created_y", -1), m.get("created_m", -1), m.get("created_d", -1),
+    )]
 
 
-class FontSpanStage(ExtractStage):
-    """Variant that emits FONT-ATTRIBUTED text spans (doc_id, order,
-    text, font, size_milli): the interpreter's collect_fonts mode —
-    /BaseFont + Tf size per show op, the layout signal (heading vs body)
-    downstream curation consumes. Same actor-pool shape and poison
-    containment as ExtractStage."""
+def _embedded_file_rows(blob, font_cache):
+    # the /Names -> /EmbeddedFiles name tree
+    from ..pdfcore.attachments import embedded_files
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: dict[str, list] = {
-            "doc_id": [], "span_order": [], "text": [],
-            "font": [], "size_milli": [],
-        }
-        for doc_id, spans in zip(
-            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
-                    continue
-                try:
-                    doc = Document(blob)
-                    interp = Interpreter(
-                        doc, collect_fonts=True, font_cache=self.font_cache
-                    )
-                    out = interp.run()
-                    for (kind, text, _ref, order), (font, size) in zip(
-                        out, interp.span_fonts
-                    ):
-                        if kind != "text":
-                            continue
-                        rows["doc_id"].append(doc_id)
-                        rows["span_order"].append(order)
-                        rows["text"].append(text)
-                        rows["font"].append(font)
-                        rows["size_milli"].append(int(round(size * 1000)))
-                except Exception as e:
-                    rows["doc_id"].append(doc_id)
-                    rows["span_order"].append(-1)
-                    rows["text"].append("__error__")
-                    rows["font"].append(f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN])
-                    rows["size_milli"].append(-1)
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "span_order": pa.array(rows["span_order"], pa.int32()),
-                "text": pa.array(rows["text"], pa.string()),
-                "font": pa.array(rows["font"], pa.string()),
-                "size_milli": pa.array(rows["size_milli"], pa.int64()),
-            }
-        )
+    for f in embedded_files(Document(blob)):
+        yield f["name"], f["filename"], f["n_bytes"], f["md5"]
 
 
-class IccProfileStage(ExtractStage):
-    """Variant that emits ICC PROFILE header/tag rows — one row per
-    /ICCBased colorspace stream found in a page's /ColorSpace resources
-    (doc_id, page_index, cs_name, profile_size, version_major,
-    version_minor, device_class, colour_space, pcs, rendering_intent,
-    n_tags, tag_sigs). Mirrors the reference's introspection surface
-    (src/icc_profile/mod.rs IccProfileHeader + IccTagTable); tag
-    payloads are not interpreted on either side. Same actor-pool shape
-    and poison containment as the other catalog stages."""
+def _font_span_rows(blob, font_cache):
+    # /BaseFont + Tf size per show op: the heading-vs-body layout signal
+    interp = Interpreter(Document(blob), collect_fonts=True, font_cache=font_cache)
+    for (kind, text, _ref, order), (font, size) in zip(interp.run(), interp.span_fonts):
+        if kind == "text":
+            yield order, text, font, int(round(size * 1000))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..pdfcore.icc import parse_icc
 
-        cols = (
-            "doc_id", "page_index", "cs_name", "profile_size",
-            "version_major", "version_minor", "device_class",
-            "colour_space", "pcs", "rendering_intent", "n_tags",
-            "tag_sigs",
-        )
-        rows: dict[str, list] = {c: [] for c in cols}
+def _icc_profile_rows(blob, font_cache):
+    # one row per /ICCBased colour space in a page's /ColorSpace
+    # resources: header fields and tag signatures, tag payloads not
+    # interpreted (src/icc_profile/mod.rs IccProfileHeader + IccTagTable)
+    from ..pdfcore.icc import parse_icc
 
-        def emit(doc_id, pi, cs, p):
-            rows["doc_id"].append(doc_id)
-            rows["page_index"].append(pi)
-            rows["cs_name"].append(cs)
-            rows["profile_size"].append(p["profile_size"])
-            rows["version_major"].append(p["version_major"])
-            rows["version_minor"].append(p["version_minor"])
-            rows["device_class"].append(p["device_class"])
-            rows["colour_space"].append(p["colour_space"])
-            rows["pcs"].append(p["pcs"])
-            rows["rendering_intent"].append(p["rendering_intent"])
-            rows["n_tags"].append(len(p["tags"]))
-            rows["tag_sigs"].append(
-                ",".join(t["sig"] for t in p["tags"])
+    doc = Document(blob)
+    for pi, page in enumerate(doc.pages):
+        res = page.resources
+        csd = doc.resolve(res.get("ColorSpace")) if isinstance(res, dict) else None
+        if not isinstance(csd, dict):
+            continue
+        for cs_name in sorted(csd):
+            arr = doc.resolve(csd[cs_name])
+            if not isinstance(arr, list) or len(arr) < 2 or arr[0] != "ICCBased":
+                continue
+            p = parse_icc(doc.decoded(doc.resolve_stream(arr[1])))
+            yield (
+                pi, str(cs_name), p["profile_size"], p["version_major"],
+                p["version_minor"], p["device_class"], p["colour_space"],
+                p["pcs"], p["rendering_intent"], len(p["tags"]),
+                ",".join(t["sig"] for t in p["tags"]),
             )
 
+
+def _schema(**cols: pa.DataType) -> pa.Schema:
+    return pa.schema([("doc_id", pa.string()), *cols.items()])
+
+
+_STR, _I32, _I64 = pa.string(), pa.int32(), pa.int64()
+
+# Error rows carry the message in one column and -1 / "__error__" markers
+# that no real row can hold; the oracles check these layouts.
+EMITTERS: dict[str, Emitter] = {
+    "annotations": Emitter(
+        _schema(page_index=_I32, annot_index=_I32, subtype=_STR, text=_STR,
+                field_name=_STR),
+        _annotation_rows,
+        lambda msg: (-1, -1, "__error__", msg, None),
+    ),
+    "outlines": Emitter(
+        _schema(order=_I32, level=_I32, title=_STR),
+        _outline_rows,
+        lambda msg: (-1, -1, "__error__ " + msg),
+    ),
+    "images": Emitter(
+        _schema(media_ref=_STR, png=pa.large_binary()), _image_rows, None
+    ),
+    "html_summary": Emitter(
+        _schema(title=_STR, n_kept=_I32, n_dropped=_I32, status=_STR),
+        _html_summary_rows,
+        lambda msg: (None, -1, -1, "error"),
+        scheme="html://",
+    ),
+    "structure": Emitter(
+        _schema(elem_order=_I32, role=_STR, page_index=_I32, text=_STR),
+        _structure_rows,
+        lambda msg: (-1, "__error__", -1, msg),
+    ),
+    "form_fields": Emitter(
+        _schema(field_order=_I32, name=_STR, ftype=_STR, value=_STR),
+        _form_field_rows,
+        lambda msg: (-1, "__error__", None, msg),
+    ),
+    "page_labels": Emitter(
+        _schema(page_index=_I32, label=_STR),
+        _page_label_rows,
+        lambda msg: (-1, "__error__ " + msg),
+    ),
+    "metadata": Emitter(
+        _schema(title=_STR, author=_STR, subject=_STR, producer=_STR,
+                created_y=_I32, created_m=_I32, created_d=_I32),
+        _metadata_rows,
+        lambda msg: ("__error__", None, None, msg, -1, -1, -1),
+    ),
+    "embedded_files": Emitter(
+        _schema(name=_STR, filename=_STR, n_bytes=_I64, md5=_STR),
+        _embedded_file_rows,
+        lambda msg: ("__error__", msg, -1, None),
+    ),
+    "font_spans": Emitter(
+        _schema(span_order=_I32, text=_STR, font=_STR, size_milli=_I64),
+        _font_span_rows,
+        lambda msg: (-1, "__error__", msg, -1),
+    ),
+    "icc_profiles": Emitter(
+        _schema(page_index=_I32, cs_name=_STR, profile_size=_I64,
+                version_major=_I32, version_minor=_I32, device_class=_STR,
+                colour_space=_STR, pcs=_STR, rendering_intent=_I64,
+                n_tags=_I64, tag_sigs=_STR),
+        _icc_profile_rows,
+        lambda msg: (-1, "__error__", -1, -1, -1, msg, None, None, -1, -1, None),
+    ),
+}
+
+
+class DocRowStage:
+    """Callable class for ``ds.map_batches(DocRowStage, concurrency=N,
+    batch_format="pyarrow", fn_constructor_kwargs={"payloads": ref,
+    "emit": kind})``: the rows of ``EMITTERS[kind]`` for every media span
+    of every document, with ``doc_id`` prepended.
+
+    Poison rule, the same for every kind: a payload that is missing or
+    whose ``rows`` raises contributes exactly its ``error_row`` (nothing
+    when that is ``None``) and none of its partial rows; the task never
+    fails."""
+
+    def __init__(self, payloads=None, payload_resolver=None, *, emit: str):
+        from ..state.cache import LruCache
+
+        self.fetch = payload_fetcher(payloads, payload_resolver)
+        self.emitter = EMITTERS[emit]
+        self.font_cache = LruCache(max_entries=4096)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        em = self.emitter
+        out: list[tuple] = []
         for doc_id, spans in zip(
             batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
         ):
             for sp in spans or []:
-                if sp.get("kind") != "media":
-                    continue
-                blob = self.resolver(sp.get("media_ref"))
-                if blob is None:
+                ref = sp.get("media_ref")
+                if sp.get("kind") != "media" or not (ref or "").startswith(em.scheme):
                     continue
                 try:
-                    doc = Document(blob)
-                    for pi, page in enumerate(doc.pages):
-                        res = page.resources
-                        if not isinstance(res, dict):
-                            continue
-                        csd = doc.resolve(res.get("ColorSpace"))
-                        if not isinstance(csd, dict):
-                            continue
-                        for cs_name in sorted(csd):
-                            arr = doc.resolve(csd[cs_name])
-                            if (
-                                not isinstance(arr, list)
-                                or len(arr) < 2
-                                or arr[0] != "ICCBased"
-                            ):
-                                continue
-                            st = doc.resolve_stream(arr[1])
-                            emit(
-                                doc_id, pi, str(cs_name),
-                                parse_icc(doc.decoded(st)),
-                            )
-                except Exception as e:
-                    rows["doc_id"].append(doc_id)
-                    rows["page_index"].append(-1)
-                    rows["cs_name"].append("__error__")
-                    for c in (
-                        "profile_size", "version_major", "version_minor",
-                        "rendering_intent", "n_tags",
-                    ):
-                        rows[c].append(-1)
-                    rows["device_class"].append(
-                        f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN]
-                    )
-                    rows["colour_space"].append(None)
-                    rows["pcs"].append(None)
-                    rows["tag_sigs"].append(None)
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "page_index": pa.array(rows["page_index"], pa.int32()),
-                "cs_name": pa.array(rows["cs_name"], pa.string()),
-                "profile_size": pa.array(rows["profile_size"], pa.int64()),
-                "version_major": pa.array(rows["version_major"], pa.int32()),
-                "version_minor": pa.array(rows["version_minor"], pa.int32()),
-                "device_class": pa.array(rows["device_class"], pa.string()),
-                "colour_space": pa.array(rows["colour_space"], pa.string()),
-                "pcs": pa.array(rows["pcs"], pa.string()),
-                "rendering_intent": pa.array(
-                    rows["rendering_intent"], pa.int64()
-                ),
-                "n_tags": pa.array(rows["n_tags"], pa.int64()),
-                "tag_sigs": pa.array(rows["tag_sigs"], pa.string()),
-            }
-        )
+                    rows = list(em.rows(self.fetch(ref), self.font_cache))
+                except Exception as e:  # row-level containment
+                    if em.error_row is None:
+                        continue
+                    rows = [em.error_row(f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN])]
+                out.extend((doc_id, *r) for r in rows)
+        cols = list(zip(*out)) or [()] * len(em.schema)
+        return pa.Table.from_pydict(dict(zip(em.schema.names, cols)), schema=em.schema)

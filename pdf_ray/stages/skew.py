@@ -17,8 +17,8 @@ import pyarrow as pa
 
 from ..pdfcore.document import Document
 from ..pdfcore.interp import Interpreter
+from .extract import _MAX_ERROR_LEN, payload_fetcher
 
-_MAX_ERROR_LEN = 512
 N_REASSEMBLE_BUCKETS = 64
 
 
@@ -99,12 +99,9 @@ class RangeExtractStage:
     """Extract spans for one (doc_id, page_lo, page_hi) unit."""
 
     def __init__(self, payloads=None):
-        import ray
-
-        store = ray.get(payloads) if not isinstance(payloads, dict) else payloads
-        self.store = store
         from ..state.cache import LruCache
 
+        self.fetch = payload_fetcher(payloads)
         self.font_cache = LruCache(max_entries=4096)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -119,7 +116,7 @@ class RangeExtractStage:
             batch.column("page_hi").to_pylist(),
         ):
             try:
-                doc = Document(self.store[mref])
+                doc = Document(self.fetch(mref))
                 interp = Interpreter(doc, font_cache=self.font_cache)
                 for page in doc.pages[lo:hi]:
                     interp._run_page(page)

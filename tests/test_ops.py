@@ -87,6 +87,19 @@ SUBSET = [
     "knn_ivf_recall",
     "ngram_diversity",
     "token_mass_topk",
+    # stage-backed fixture-corpus queries (one DocRowStage emitter each)
+    "pdf_annotations",
+    "pdf_outlines",
+    "pdf_structure_text",
+    "pdf_form_fields",
+    "pdf_page_labels",
+    "pdf_metadata",
+    "pdf_embedded_files",
+    "pdf_font_spans",
+    "pdf_icc_profiles",
+    "pdf_image_features",
+    "image_phash_dedup",
+    "html_doc_summary",
 ]
 
 

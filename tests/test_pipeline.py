@@ -345,32 +345,94 @@ def test_write_stage_retry_is_idempotent(ray_session, corpus, tmp_path):
     )
 
 
-def test_annotation_and_outline_stages_emit_error_rows():
-    """A corrupt payload must surface as an explicit error row (not a
-    silently-empty doc) — the documented poison-containment model."""
+# each kind's error row for message M, written out by hand (columns after
+# doc_id): the markers the oracles and downstream consumers rely on
+_ERROR_ROWS = {
+    "annotations": lambda m: (-1, -1, "__error__", m, None),
+    "outlines": lambda m: (-1, -1, "__error__ " + m),
+    "images": None,
+    "html_summary": lambda m: (None, -1, -1, "error"),
+    "structure": lambda m: (-1, "__error__", -1, m),
+    "form_fields": lambda m: (-1, "__error__", None, m),
+    "page_labels": lambda m: (-1, "__error__ " + m),
+    "metadata": lambda m: ("__error__", None, None, m, -1, -1, -1),
+    "embedded_files": lambda m: ("__error__", m, -1, None),
+    "font_spans": lambda m: (-1, "__error__", m, -1),
+    "icc_profiles": lambda m: (
+        -1, "__error__", -1, -1, -1, m, None, None, -1, -1, None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["corrupt", "missing"])
+@pytest.mark.parametrize("kind", sorted(_ERROR_ROWS))
+def test_doc_row_stage_emits_error_rows(kind, case):
+    """One poison rule for every DocRowStage kind: a corrupt payload and a
+    missing payload each surface as exactly the kind's error row (not a
+    silently-empty doc); ``images`` has no error row, so they emit
+    nothing. Every kind builds the message the same way, truncated to
+    512 characters before any prefix, so ``outlines`` now truncates
+    before adding ``__error__ `` as ``page_labels`` always did (only
+    messages over 502 characters differ from the old stage)."""
     import pyarrow as pa
 
-    from pdf_ray.stages.extract import AnnotationStage, OutlineStage
+    from pdf_ray.stages.extract import EMITTERS, DocRowStage
 
+    assert sorted(EMITTERS) == sorted(_ERROR_ROWS)
+    em = EMITTERS[kind]
+    ref = em.scheme + "m0"
     batch = pa.table(
         {
             "doc_id": ["bad1"],
             "spans": [
-                [{"kind": "media", "text": None, "media_ref": "m0", "offset": 0}]
+                [{"kind": "media", "text": None, "media_ref": ref, "offset": 0}]
             ],
         }
     )
-    payloads = {"m0": b"%PDF-1.4 not really a pdf"}
-    a = AnnotationStage(payloads=payloads)(batch)
-    assert a.num_rows == 1
-    assert a.column("subtype").to_pylist() == ["__error__"]
-    assert a.column("page_index").to_pylist() == [-1]
-    assert a.column("text").to_pylist()[0]
+    if case == "missing":
+        payloads, msg = {}, f"KeyError: \"payload '{ref}' not found\""
+    elif kind == "html_summary":
+        # the boilerplate classifier is total over bytes and str
+        payloads, msg = {ref: 0}, None
+    else:
+        payloads = {ref: b"%PDF-1.4 not really a pdf"}
+        msg = "PdfParseError: startxref not found"
 
-    o = OutlineStage(payloads=payloads)(batch)
-    assert o.num_rows == 1
-    assert o.column("level").to_pylist() == [-1]
-    assert o.column("title").to_pylist()[0].startswith("__error__")
+    out = DocRowStage(payloads=payloads, emit=kind)(batch)
+    assert out.schema == em.schema
+    want = _ERROR_ROWS[kind]
+    if want is None:
+        assert out.num_rows == 0
+    else:
+        assert [tuple(r.values()) for r in out.to_pylist()] == [("bad1", *want(msg))]
+
+
+def test_doc_row_stage_drops_partial_rows_of_a_failed_payload(monkeypatch):
+    """A payload whose row function raises after yielding some rows
+    contributes only its error row, as ExtractStage drops the partial
+    spans of a failed doc."""
+    import pyarrow as pa
+
+    from pdf_ray.stages import extract
+
+    def rows(blob, font_cache):
+        yield ("first",)
+        raise ValueError("second row is bad")
+
+    schema = pa.schema([("doc_id", pa.string()), ("v", pa.string())])
+    monkeypatch.setitem(
+        extract.EMITTERS, "probe", extract.Emitter(schema, rows, lambda m: (m,))
+    )
+    batch = pa.table(
+        {
+            "doc_id": ["d1"],
+            "spans": [[{"kind": "media", "text": None, "media_ref": "m0"}]],
+        }
+    )
+    out = extract.DocRowStage(payloads={"m0": b"x"}, emit="probe")(batch)
+    assert out.to_pylist() == [
+        {"doc_id": "d1", "v": "ValueError: second row is bad"}
+    ]
 
 
 def test_write_curated_resume_and_orphan_gc(ray_session, tmp_path):
@@ -412,3 +474,16 @@ def test_write_curated_resume_and_orphan_gc(ray_session, tmp_path):
     assert r3["written"] == 1 and r3["n_rows"] == man["n_rows"]
     assert read_curated(out).count() == total
     assert not gc_orphan_shards(out)  # nothing orphaned after commit
+
+
+def test_write_curated_refuses_n_shards_mismatch(ray_session, tmp_path):
+    """Shard ids are ``doc_id %% n_shards``: resuming with another shard
+    count would treat committed ids as done for the wrong doc sets, so
+    it is refused."""
+    from pdf_ray.pipelines.curate import write_curated
+
+    sf = "/root/testdata/sf0.001"
+    out = str(tmp_path / "curated")
+    write_curated(sf, out, n_shards=8)
+    with pytest.raises(ValueError, match="resume refused"):
+        write_curated(sf, out, n_shards=4)

@@ -4,15 +4,12 @@ the working set and show the job still streams to completion — Ray
 Data's backpressure and plasma disk-spilling absorb the pressure instead
 of OOMing or stalling.
 
-    SPILL_PROBE_MODE={fused|unfused|materialize} \
+    SPILL_PROBE_MODE={fused|materialize} \
         python tools/spill_probe.py [n_docs] [store_mb]
 
 Modes:
 - fused (production default): shards written inside the extract actors,
   span tables never enter plasma -> expect ZERO spill at any store size
-- unfused: span tables transit the object store between extract and the
-  write stage -> streaming backpressure keeps the in-flight set under
-  the cap (still ~zero spill; blocks drain to the sink as produced)
 - materialize: .materialize() pins EVERY output block -> once total
   blocks exceed the store, plasma MUST spill; completion proves the
   spill path works under real pressure
@@ -62,6 +59,10 @@ def main():
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
     store_mb = int(sys.argv[2]) if len(sys.argv) > 2 else 128
     mode = os.environ.get("SPILL_PROBE_MODE", "fused")
+    if mode not in ("fused", "materialize"):
+        raise SystemExit(
+            f"SPILL_PROBE_MODE={mode!r}: expected 'fused' or 'materialize'"
+        )
     cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
     ray.init(
@@ -103,7 +104,6 @@ def main():
             concurrency=cpus - 2,
             batch_size=200,
             resume=False,
-            fused=(mode == "fused"),
         )
         result = {"n_ok": stats["n_ok"], "n_err": stats["n_err"]}
     wall = time.time() - t0
