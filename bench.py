@@ -7,7 +7,8 @@ truncated round 4's oversized final line — VERDICT r4 #4):
    "num_cpus": N, "n_docs": ...}
 The full per-query timing map is printed on a PRECEDING stdout line
 (prefixed ``# queries ``) and written to ``bench_queries.json`` next to
-this file.
+this file (not tracked). Ray gets ``$RAY_GRAFT_CPUS`` CPUs, by default
+``os.cpu_count()``.
 
 Headline: PDF extraction throughput over the skew-mix bench corpus
 (95% 1-3 page docs, 4% 20-page, 1% 200-page — FIXTURES.md §5), the
@@ -151,7 +152,7 @@ def bench_table_queries(sf_dir: str, num_cpus: int) -> dict[str, float]:
 
 
 def main():
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     # 100k docs (~25s at 32 cpus): a fresh Ray session pays ~5s of fixed
     # actor-pool spawn + control-plane ramp before steady state (measured

@@ -1697,6 +1697,19 @@ EDIT_BAND_W = 64
 EDIT_BAND_CAP = 20_000  # per-chunk-pair task size bound (not a truncation)
 
 
+def _check_edit_task_key(band: np.ndarray, n_chunks: np.ndarray) -> None:
+    """The chunk-pair task key ``band * 2**28 + a * 2**14 + b`` (chunk
+    indices ``a <= b < n_chunks``) is collision-free only while
+    ``n_chunks <= 2**14`` and ``band`` fits above bit 28 of an int64, so an
+    oversized corpus fails here instead of merging unrelated tasks."""
+    if n_chunks.max(initial=0) > 1 << 14:
+        raise OverflowError(
+            f"edit-distance band split into {n_chunks.max()} chunks; the task key holds 2**14"
+        )
+    if band.min(initial=0) < -(1 << 35) or band.max(initial=0) >= 1 << 35:
+        raise OverflowError("edit-distance length band does not fit above bit 28 of the task key")
+
+
 def _lev_le_k(a: str, b: str, k: int) -> int:
     """Exact Levenshtein if <= k else -1; Ukkonen band, O(len(a) * k)."""
     la, lb = len(a), len(b)
@@ -1777,6 +1790,7 @@ def dedup_edit_distance(sf_dir: str, k: int = EDIT_MAX):
                 dtype=np.int64,
                 count=len(band),
             )
+            _check_edit_task_key(band, C)
             chunk = (ids * np.int64(2654435761) % np.int64(1 << 32)) % C
             for x in range(int(C.max())):
                 sel = x < C

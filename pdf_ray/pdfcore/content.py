@@ -14,25 +14,28 @@ Mirrors the reference ``ContentLexer`` (src/content/mod.rs:38-139):
   operator we emit one ``("inline", bytes)`` token holding the raw binary
   data up to ``EI`` (the reference todo!()s on BI/ID/EI,
   src/render/mod.rs:292 — we implement the spec)
+
+It runs on the object scanner's compiled patterns (``lexer.py``): ``SKIP``
+for whitespace and comments and ``NUMBER`` for numeric operands, matched
+at a local ``pos``. Every other operand (names, strings, arrays, dicts)
+and an integer that may start an ``N G R`` reference go to
+``Lexer.lex_object``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .lexer import WHITESPACE, Lexer
+from .lexer import NUMBER, SKIP, WHITESPACE, Lexer
 from .objects import NULL, PdfParseError
 
 # operator token: alnum run possibly terminated (inclusively) by * ' " —
 # or a lone quote char (src/content/mod.rs:83-99)
 _OP_RUN = re.compile(rb"[A-Za-z0-9]*")
 
-# number fast path: one regex grabs the whole numeric token. The slow
-# lex_object path is kept for the `n m R` indirect-reference lookahead
-# quirk (src/lex.rs:473-494) — triggered only when an integer is followed
-# by ws + digits (rare in content streams; `1 1 1 RG` stays fast because
-# the check below requires a capital R after the second integer).
-_NUM_FAST = re.compile(rb"[+-]?(?:\d+\.\d*|\.\d+|\d+)")
+# An integer followed by ws + digits + ws + R and a delimiter goes to
+# lex_object for the `n m R` indirect-reference quirk (src/lex.rs:473-494);
+# `1 1 1 RG` stays on the NUMBER path, as no delimiter follows its R.
 _REF_LOOKAHEAD = re.compile(
     rb"[\x00\x09\x0a\x0c\x0d\x20]+\d+[\x00\x09\x0a\x0c\x0d\x20]+R"
     rb"[\x00\x09\x0a\x0c\x0d\x20()<>\[\]{}/%]"
@@ -48,30 +51,24 @@ OBJ = 0
 OP = 1
 INLINE = 2
 
-# whitespace + %-comments in ONE regex pass per token (the per-byte
-# Python loop in Lexer.skip_whitespace was the tokenizer's top hot spot)
-_WS_SKIP = re.compile(rb"(?:[\x00\x09\x0a\x0c\x0d\x20]+|%[^\r\n]*)+")
-
 
 def tokenize(buf: bytes):
     """Yield ``(OBJ, value)`` / ``(OP, name)`` / ``(INLINE, bytes)`` tokens.
 
     Hot path: this runs once per token of every content stream in the
-    corpus, so the loop works on a local ``pos`` with regex skips and
+    corpus, so the loop works on a local ``pos`` with regex matches and
     direct byte indexing, delegating to the full object lexer only for
     non-trivial objects."""
     lx = Lexer(buf)
     compat_depth = 0
     n = len(buf)
     pos = 0
-    ws_match = _WS_SKIP.match
-    num_match = _NUM_FAST.match
+    skip = SKIP.match
+    num_match = NUMBER.match
     op_match = _OP_RUN.match
     ref_match = _REF_LOOKAHEAD.match
     while True:
-        m = ws_match(buf, pos)
-        if m is not None:
-            pos = m.end()
+        pos = skip(buf, pos).end()
         if pos >= n:
             return
         b = buf[pos]

@@ -12,7 +12,7 @@ PDF byte payload in, parsed pages out. No cross-row state.
 from __future__ import annotations
 
 from .filters import decode_stream
-from .lexer import Lexer
+from .lexer import NUMBER_PAIR, Lexer, parse_whole
 from .objects import NULL, Name, PdfParseError, Ref, Stream
 from .xref import Compressed, InUse, read_full_xref
 
@@ -183,14 +183,12 @@ class Document:
         if not isinstance(n, int) or not isinstance(first, int):
             raise PdfParseError("bad ObjStm header")
         data = self.decoded(stream)
-        hdr = Lexer(data)
         pairs = []
+        pos = 0
         for _ in range(n):
-            hdr.skip_whitespace()
-            onum = hdr.lex_whole_number()
-            hdr.skip_whitespace()
-            ooff = hdr.lex_whole_number()
-            pairs.append((int(onum), int(ooff)))
+            m = NUMBER_PAIR.match(data, pos)
+            pairs.append((parse_whole(m[1]), parse_whole(m[2])))
+            pos = m.end()
         result = (pairs, data, first)
         self._objstm_cache[num] = result
         return result

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .filters import decode_stream
-from .lexer import Lexer
+from .lexer import NUMBER_PAIR, SKIP, STARTXREF_OFFSET, XREF_ROW, Lexer, parse_whole
 from .objects import PdfParseError, Ref, Stream
 
 
@@ -65,13 +65,10 @@ def find_startxref(buf: bytes) -> int:
         idx = buf.rfind(b"startxref")
     if idx == -1:
         raise PdfParseError("startxref not found")
-    lx = Lexer(buf)
-    lx.pos = idx + len(b"startxref")
-    lx.skip_whitespace()
-    n = lx.lex_whole_number()
-    if not n:
+    m = STARTXREF_OFFSET.match(buf, idx + len(b"startxref"))
+    if m is None:
         raise PdfParseError("bad startxref offset")
-    return int(n)
+    return int(m[1])
 
 
 def parse_xref_at(buf: bytes, offset: int, resolve=None):
@@ -83,45 +80,42 @@ def parse_xref_at(buf: bytes, offset: int, resolve=None):
     """
     if offset >= len(buf):
         raise PdfParseError(f"xref offset {offset} beyond EOF")
+    pos = SKIP.match(buf, offset).end()
+    if buf.startswith(b"xref", pos):
+        return _parse_classic_table(buf, pos + len(b"xref"))
     lx = Lexer(buf)
-    lx.pos = offset
-    lx.skip_whitespace()
-    if lx.next_matches(b"xref"):
-        return _parse_classic_table(lx)
+    lx.pos = pos
     return _parse_xref_stream(lx)
 
 
-def _parse_classic_table(lx: Lexer):
-    lx.expect(b"xref")
-    lx.skip_whitespace()
+def _parse_classic_table(buf: bytes, pos: int):
+    """Subsections from ``pos`` (after ``xref``) up to ``trailer``, one
+    ``XREF_ROW`` match per entry, then the trailer dict."""
     objects: dict = {}
-    while True:
-        if lx.next_matches(b"trailer"):
-            break
-        start = lx.lex_whole_number()
+    row = XREF_ROW.match
+    pos = SKIP.match(buf, pos).end()
+    while not buf.startswith(b"trailer", pos):
+        m = NUMBER_PAIR.match(buf, pos)
+        start, count = m.groups()
         if not start:
             raise PdfParseError("bad xref subsection header")
-        lx.skip_whitespace()
-        count = lx.lex_whole_number()
         if not count:
             raise PdfParseError("bad xref subsection count")
-        lx.skip_whitespace()
-        for i in range(int(count)):
-            off = lx.lex_whole_number()
-            lx.skip_whitespace()
-            gen = lx.lex_whole_number()
-            lx.skip_whitespace()
-            kind = lx.next_byte()
-            lx.skip_whitespace()
-            num = int(start) + i
-            if kind == ord("n"):
-                objects.setdefault(num, InUse(int(off), int(gen)))
-            elif kind == ord("f"):
+        pos = m.end()
+        first = int(start)
+        for num in range(first, first + int(count)):
+            m = row(buf, pos)
+            off, gen, kind = m.groups()
+            if kind == b"n":
+                objects.setdefault(num, InUse(parse_whole(off), parse_whole(gen)))
+            elif kind == b"f":
                 objects.setdefault(num, FREE)
             else:
+                kind = buf[m.end()] if m.end() < len(buf) else None
                 raise PdfParseError(f"bad xref entry kind {kind!r}")
-    lx.expect(b"trailer")
-    lx.skip_whitespace()
+            pos = m.end()
+    lx = Lexer(buf)
+    lx.pos = SKIP.match(buf, pos + len(b"trailer")).end()
     trailer = lx.lex_dict_only()
     return Xref(objects), trailer
 

@@ -731,6 +731,20 @@ def test_lev_le_k_matches_naive_dp():
             assert got == (d if d <= k else -1), (a, b, k)
 
 
+def test_edit_task_key_refuses_out_of_range_fields():
+    """A band split into more than 2**14 chunks, or a band that does not
+    fit above bit 28, would collide task keys: both fail loudly."""
+    import numpy as np
+
+    from pdf_ray.ops.dedup import _check_edit_task_key
+
+    _check_edit_task_key(np.array([-1, 0, (1 << 35) - 1]), np.array([1, 2, 1 << 14]))
+    with pytest.raises(OverflowError, match="chunks"):
+        _check_edit_task_key(np.array([0, 1]), np.array([1, (1 << 14) + 1]))
+    with pytest.raises(OverflowError, match="bit 28"):
+        _check_edit_task_key(np.array([1 << 35]), np.array([1]))
+
+
 def test_edit_dedup_finds_band_straddling_pair(ray_session, tmp_path):
     """Two docs whose lengths sit on opposite sides of a band boundary
     (len W-2 and W+2) MUST still pair up — the overlapping-band emission
