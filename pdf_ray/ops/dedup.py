@@ -1325,6 +1325,7 @@ def neardup_pagerank(
                 "side": pa.array(["C"] * len(d), pa.string()),
                 "node": pa.array(d.astype(np.int64)),
                 "c": t.column("c"),
+                "dang": pa.array(np.zeros(len(d), np.int64)),
             }
         )
 
