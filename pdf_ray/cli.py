@@ -58,7 +58,7 @@ def main(argv=None):
         args.input,
         args.output,
         payloads,
-        concurrency=args.concurrency or max(2, args.num_cpus - 2),
+        concurrency=args.concurrency or args.num_cpus,
         batch_size=args.batch_size,
         resume=not args.no_resume,
         strip_artifacts=args.strip_artifacts,

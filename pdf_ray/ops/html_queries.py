@@ -2,7 +2,7 @@
 heuristics, the HTML half of the north rule's extraction pipeline).
 
 Runs the SAME unified extraction pipeline as the PDF queries
-(``extract_dataset`` -> actor-pool ``ExtractStage`` -> ``explode_spans``)
+(``extract_dataset`` -> ``ExtractStage`` tasks -> ``explode_spans``)
 over the committed HTML fixture corpus; the stage dispatches ``html://``
 media spans to ``htmlcore.extract_main_content``. Oracles read the
 HAND-WRITTEN golden parquet (``fixtures/htmlcorpus.py`` literals), so the
@@ -40,12 +40,9 @@ def html_doc_summary(sf_dir: str | None = None):
     return docs.filter(
         lambda row: not row["doc_id"].startswith("hm")
     ).map_batches(
-        DocRowStage,
-        fn_constructor_kwargs={"payloads": payloads, "emit": "html_summary"},
+        DocRowStage(payloads=payloads, emit="html_summary"),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
-        num_cpus=1,
     )
 
 

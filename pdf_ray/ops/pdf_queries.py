@@ -35,17 +35,14 @@ def _fixture_payloads(docs_file="docs.parquet", payloads_file="payloads.parquet"
 
 
 def _fixture_stage_query(kind: str):
-    """The fixture corpus through an actor-pool ``DocRowStage(emit=kind)``."""
+    """The fixture corpus through ``DocRowStage(emit=kind)`` tasks."""
     from ..stages.extract import DocRowStage
 
     docs, payloads = _fixture_payloads()
     return docs.map_batches(
-        DocRowStage,
-        fn_constructor_kwargs={"payloads": payloads, "emit": kind},
+        DocRowStage(payloads=payloads, emit=kind),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
-        num_cpus=1,
     )
 
 
@@ -110,11 +107,9 @@ def pdf_image_features(sf_dir: str | None = None):
     from ..pipelines.extract import extract_image_blobs
     from ..stages.multimodal import ImageFeatureStage
 
-    blobs = extract_image_blobs(*_fixture_payloads(), concurrency=2)
-    # 2 + 1 actors leave a CPU of a 4-CPU cluster for the dedup exchange's
-    # tasks; with 2 + 2 every CPU is held by an actor and the query hangs
+    blobs = extract_image_blobs(*_fixture_payloads())
     return blobs.map_batches(
-        ImageFeatureStage, batch_format="pyarrow", concurrency=1, batch_size=16
+        ImageFeatureStage(), batch_format="pyarrow", batch_size=16
     )
 
 
@@ -596,11 +591,11 @@ N_PHASH_BUCKETS = 32
 def image_phash_dedup(sf_dir: str | None = None):
     """Image near-dup pairs via 63-bit dHash + hamming-LSH: the corpus's
     deduped image blobs UNIONED with their 32x32 nearest-neighbor
-    resized re-encodes (media_ref + '#r32'), hashed by the actor-pool
-    ImagePHashStage, then paired with the SimHash block machinery — each
-    hash emits 8 rows (block_id, 8-bit block_val), identical blocks
-    colocate in a bucketed groupby, pairwise hamming is verified
-    vectorized in-group, pair dedup in a second bucketed groupby. By
+    resized re-encodes (media_ref + '#r32'), hashed with ``dhash63``
+    (ImagePHashStage's hash), then paired with the SimHash block
+    machinery — each hash emits 8 rows (block_id, 8-bit block_val),
+    identical blocks colocate in a bucketed groupby, pairwise hamming is
+    verified vectorized in-group, pair dedup in a second bucketed groupby. By
     pigeonhole a pair within hamming <= 7 shares >= 1 of the 8 blocks,
     so for k=6 the LSH is EXACT. Oracle: an independent pure-Python
     dHash recomputation from the fixtures' literal pixel constants,
@@ -608,7 +603,7 @@ def image_phash_dedup(sf_dir: str | None = None):
     from ..pipelines.extract import extract_image_blobs
     from ..stages.multimodal import dhash63
 
-    blobs = extract_image_blobs(*_fixture_payloads(), concurrency=2)
+    blobs = extract_image_blobs(*_fixture_payloads())
 
     import numpy as np
     import pandas as pd
@@ -617,7 +612,7 @@ def image_phash_dedup(sf_dir: str | None = None):
         """One decode per blob -> TWO hash rows: the original and its
         32x32 nearest-neighbor resize (ref + '#r32'). Emitting both from
         one stage avoids consuming the blob pipeline twice (a union of
-        two branches re-executes the upstream actor pool per consumer)."""
+        two branches re-executes the upstream extraction per consumer)."""
         from ..pdfcore.images import decode_png
 
         refs_out, hashes = [], []

@@ -5,7 +5,8 @@ src/font/mod.rs:175-229 Widths, src/font/cid.rs:130-182 CID W runs) but
 hoists parsed font programs into a shared cache keyed by the SHA-256 of
 the decoded program bytes — the reference reloads the program on every
 draw_text call (src/render/mod.rs:1118-1248); per SURVEY.md §2.5 our
-cache is actor-scoped so one worker parses each distinct font once.
+cache lives for the worker process, so one worker parses each distinct
+font once.
 """
 
 from __future__ import annotations

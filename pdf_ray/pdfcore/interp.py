@@ -88,10 +88,10 @@ _OC_HIDDEN = ("__oc_hidden__", None)
 class Interpreter:
     """One instance per document row; transient state only.
 
-    ``font_cache`` is an optional shared cache (actor-scoped in the Ray
-    pipeline) mapping font-program hashes to parsed width tables — used
-    only when ``compute_positions`` is on, since glyph widths never affect
-    span text.
+    ``font_cache`` is an optional shared cache (one per worker process in
+    the Ray pipeline: ``stages.extract.FONT_CACHE``) mapping font-program
+    hashes to parsed width tables — used only when ``compute_positions``
+    is on, since glyph widths never affect span text.
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
     read docs (parquet/lance dir)
       -> [optional resume filter: anti-join vs lineage manifests]
-      -> map_batches(ExtractStage actor pool)   # the parse fan-out
+      -> map_batches(ExtractStage tasks)        # the parse fan-out
       -> write partitioned parquet + per-partition lineage manifest
 
 Scale notes (SURVEY.md §4):
@@ -50,16 +50,15 @@ def extract_dataset(
 
     ref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     return docs_ds.map_batches(
-        ExtractStage,
-        fn_constructor_kwargs={
-            "payloads": ref,
-            "collect_images": collect_images,
-            "apply_tounicode": apply_tounicode,
-            "apply_actual_text": apply_actual_text,
-            "recover": recover,
-            "strip_artifacts": strip_artifacts,
-            "strip_hidden_ocg": strip_hidden_ocg,
-        },
+        ExtractStage(
+            payloads=ref,
+            collect_images=collect_images,
+            apply_tounicode=apply_tounicode,
+            apply_actual_text=apply_actual_text,
+            recover=recover,
+            strip_artifacts=strip_artifacts,
+            strip_hidden_ocg=strip_hidden_ocg,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -103,8 +102,7 @@ def extract_image_blobs(docs_ds, payloads, concurrency=4, batch_size: int = 64):
 
     ref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     blobs = docs_ds.map_batches(
-        DocRowStage,
-        fn_constructor_kwargs={"payloads": ref, "emit": "images"},
+        DocRowStage(payloads=ref, emit="images"),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -216,14 +214,6 @@ def _read_manifests(output_dir: str) -> list[dict]:
     return out
 
 
-def completed_doc_ids(output_dir: str) -> set[str]:
-    """Read doc_ids recorded by prior (partial) runs' manifests."""
-    done: set[str] = set()
-    for m in _read_manifests(output_dir):
-        done.update(m["doc_ids"])
-    return done
-
-
 def committed_part_files(output_dir: str) -> list[str]:
     """The manifests ARE the commit record: only part files listed in a
     manifest are committed output. A crash between shard publish and
@@ -266,7 +256,7 @@ def gc_orphan_shards(output_dir: str) -> int:
 
 class ExtractWriteStage:
     """Fused extract+write sink: parses the batch AND writes its parquet
-    shard + lineage manifest from inside the actor, emitting only a tiny
+    shard + lineage manifest from inside the task, emitting only a tiny
     stats row. The span tables never transit the object store — at 100 TB
     that hop (serialize -> plasma -> downstream read) is pure overhead when
     the next stop is storage anyway."""
@@ -342,7 +332,7 @@ def run_extract(
     committed output via ``read_extracted`` (manifest-listed files only),
     which together give exactly-once output semantics.
 
-    Shards are written from inside the extract actors (ExtractWriteStage),
+    Shards are written from inside the extract tasks (ExtractWriteStage),
     so span tables never transit the object store.
     """
     import ray
@@ -374,12 +364,9 @@ def run_extract(
 
     pref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     stats = docs_ds.map_batches(
-        ExtractWriteStage,
-        fn_constructor_kwargs={
-            "payloads": pref,
-            "output_dir": output_dir,
-            "strip_artifacts": strip_artifacts,
-        },
+        ExtractWriteStage(
+            payloads=pref, output_dir=output_dir, strip_artifacts=strip_artifacts
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

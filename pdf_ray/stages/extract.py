@@ -1,4 +1,4 @@
-"""The extraction stages: actor-pool ``map_batches`` callables.
+"""The extraction stages: ``map_batches`` callables run as Ray Data tasks.
 
 ``ExtractStage`` emits the span sequence of every document (the hot
 path, with columnar batch assembly). ``DocRowStage`` emits one of the
@@ -6,19 +6,23 @@ path, with columnar batch assembly). ``DocRowStage`` emits one of the
 fields, ... — as flat rows, with one poison rule for all of them.
 
 Design (SURVEY.md §2.8, §4):
-- stateful pieces (payload store handle, font cache) live in ``__init__``
-  — once per actor, not per batch
+- a stage is passed to ``map_batches`` as an *instance*, so Ray Data runs
+  it on a task pool (no actor pool to start per job); the instance holds
+  only the payload ref (or resolver) and the flags, so it pickles small
+- per-process state lives at module level and survives across tasks and
+  jobs in a reused worker: the payload dict of the last ``ObjectRef``
+  (``payload_fetcher``) and the font-program cache (``FONT_CACHE``)
 - batches are Arrow in / Arrow out (``batch_format="pyarrow"``); the
   per-document parse is necessarily row-wise Python, but batch assembly is
-  columnar and payload bytes are read zero-copy from the broadcast object
+  columnar
 - a poison PDF fails the ROW (status='error'), never the task: the
   reference crashes by design (244 todo! sites) and a task-retry loop on a
   deterministic panic would hang a 10^12-doc job (SURVEY.md §4 retries row)
 - ``payloads`` is a ``ray.ObjectRef`` to a dict ``media_ref -> bytes``
   placed once with ``ray.put`` on the driver (broadcast, not re-shipped per
   batch). For payload stores too large to broadcast, pass
-  ``payload_resolver`` — any callable ``media_ref -> bytes`` (e.g. a
-  bucketed lookup service); the per-row logic is identical.
+  ``payload_resolver`` — any picklable callable ``media_ref -> bytes``
+  (e.g. a bucketed lookup service); the per-row logic is identical.
 """
 
 from __future__ import annotations
@@ -30,8 +34,20 @@ import pyarrow as pa
 from ..pdfcore.interp import Interpreter
 from ..pdfcore.document import Document
 from ..schema import EXTRACTED
+from ..state.cache import LruCache
 
 _MAX_ERROR_LEN = 512
+
+# Parsed font programs, shared by every stage and job in this process.
+# Keys are (parser name, sha256 of the program bytes), so an entry is
+# right for any stage that finds it. LRU-bounded so adversarial corpora
+# can't grow the worker heap (the reference reloads fonts per draw_text
+# call, SURVEY §2.5).
+FONT_CACHE = LruCache(max_entries=4096)
+
+# The payload dict of the last ObjectRef this process resolved, as
+# (ref.hex(), dict): one entry, so a new ref replaces the old store.
+_store: tuple[str, dict] | None = None
 
 
 def payload_fetcher(payloads=None, payload_resolver=None):
@@ -39,11 +55,19 @@ def payload_fetcher(payloads=None, payload_resolver=None):
     (``payloads``: the dict or its ``ObjectRef``), else from the caller's
     ``payload_resolver`` (``media_ref -> bytes | None``). A payload found
     in neither raises ``KeyError``, which becomes the document's error
-    row."""
-    if payloads is not None:
-        import ray
+    row. An ``ObjectRef`` is resolved with ``ray.get`` once per process
+    and kept until another ref is asked for."""
+    global _store
+    if isinstance(payloads, dict):
+        get = payloads.get
+    elif payloads is not None:
+        key = payloads.hex()
+        if _store is None or _store[0] != key:
+            import ray
 
-        get = (payloads if isinstance(payloads, dict) else ray.get(payloads)).get
+            _store = None  # never hold two stores at once
+            _store = (key, ray.get(payloads))
+        get = _store[1].get
     else:
         get = payload_resolver or (lambda ref: None)
 
@@ -57,8 +81,8 @@ def payload_fetcher(payloads=None, payload_resolver=None):
 
 
 class ExtractStage:
-    """Callable class for ``ds.map_batches(ExtractStage, concurrency=N,
-    batch_format="pyarrow", fn_constructor_kwargs=...)``."""
+    """Callable for ``ds.map_batches(ExtractStage(payloads=ref, ...),
+    concurrency=N, batch_format="pyarrow")``."""
 
     def __init__(
         self,
@@ -71,7 +95,8 @@ class ExtractStage:
         strip_artifacts=False,
         strip_hidden_ocg=False,
     ):
-        self.fetch = payload_fetcher(payloads, payload_resolver)
+        self.payloads = payloads
+        self.payload_resolver = payload_resolver
         self.collect_images = collect_images
         self.apply_tounicode = apply_tounicode
         self.apply_actual_text = apply_actual_text
@@ -87,17 +112,12 @@ class ExtractStage:
         # extraction (the reference parses /OCProperties but never
         # consults it, src/optional_content.rs)
         self.strip_hidden_ocg = strip_hidden_ocg
-        # font-program cache shared across all rows this actor processes
-        # (reference reloads fonts per draw_text call — SURVEY §2.5);
-        # LRU-bounded so adversarial corpora can't grow the actor heap
-        from ..state.cache import LruCache
-
-        self.font_cache = LruCache(max_entries=4096)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Columnar batch assembly: per-doc span tuples land in flat
         arrays + list offsets (no per-span dicts) — this path runs for
         every span in the corpus, so it stays allocation-light."""
+        fetch = payload_fetcher(self.payloads, self.payload_resolver)
         doc_ids = batch.column("doc_id").to_pylist()
         in_spans = batch.column("spans").to_pylist()
         kinds: list[str] = []
@@ -111,7 +131,9 @@ class ExtractStage:
         for doc_id, spans in zip(doc_ids, in_spans):
             start = len(kinds)
             try:
-                self._extract_doc(spans or [], kinds, texts, refs, orders, start)
+                self._extract_doc(
+                    fetch, spans or [], kinds, texts, refs, orders, start
+                )
                 statuses.append("ok")
                 errors.append(None)
             except Exception as e:  # row-level containment
@@ -144,7 +166,9 @@ class ExtractStage:
             schema=EXTRACTED,
         )
 
-    def _extract_doc(self, in_spans, kinds, texts, refs, orders, start) -> None:
+    def _extract_doc(
+        self, fetch, in_spans, kinds, texts, refs, orders, start
+    ) -> None:
         for sp in in_spans:
             kind = sp.get("kind")
             if kind == "text":
@@ -153,7 +177,7 @@ class ExtractStage:
                 refs.append(None)
             elif kind == "media":
                 ref = sp.get("media_ref")
-                pdf_bytes = self.fetch(ref)
+                pdf_bytes = fetch(ref)
                 if ref.startswith("html://"):
                     # HTML half of the main-content rule: boilerplate
                     # strip + DOM heuristics (htmlcore). Dispatch is by
@@ -175,7 +199,7 @@ class ExtractStage:
                 interp = Interpreter(
                     doc,
                     collect_images=self.collect_images,
-                    font_cache=self.font_cache,
+                    font_cache=FONT_CACHE,
                     apply_tounicode=self.apply_tounicode,
                     apply_actual_text=self.apply_actual_text,
                     collect_mcids=self.strip_artifacts,
@@ -398,10 +422,10 @@ EMITTERS: dict[str, Emitter] = {
 
 
 class DocRowStage:
-    """Callable class for ``ds.map_batches(DocRowStage, concurrency=N,
-    batch_format="pyarrow", fn_constructor_kwargs={"payloads": ref,
-    "emit": kind})``: the rows of ``EMITTERS[kind]`` for every media span
-    of every document, with ``doc_id`` prepended.
+    """Callable for ``ds.map_batches(DocRowStage(payloads=ref, emit=kind),
+    concurrency=N, batch_format="pyarrow")``: the rows of
+    ``EMITTERS[kind]`` for every media span of every document, with
+    ``doc_id`` prepended.
 
     Poison rule, the same for every kind: a payload that is missing or
     whose ``rows`` raises contributes exactly its ``error_row`` (nothing
@@ -409,14 +433,15 @@ class DocRowStage:
     fails."""
 
     def __init__(self, payloads=None, payload_resolver=None, *, emit: str):
-        from ..state.cache import LruCache
-
-        self.fetch = payload_fetcher(payloads, payload_resolver)
-        self.emitter = EMITTERS[emit]
-        self.font_cache = LruCache(max_entries=4096)
+        if emit not in EMITTERS:
+            raise KeyError(emit)
+        self.payloads = payloads
+        self.payload_resolver = payload_resolver
+        self.emit = emit
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        em = self.emitter
+        em = EMITTERS[self.emit]
+        fetch = payload_fetcher(self.payloads, self.payload_resolver)
         out: list[tuple] = []
         for doc_id, spans in zip(
             batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
@@ -426,7 +451,7 @@ class DocRowStage:
                 if sp.get("kind") != "media" or not (ref or "").startswith(em.scheme):
                     continue
                 try:
-                    rows = list(em.rows(self.fetch(ref), self.font_cache))
+                    rows = list(em.rows(fetch(ref), FONT_CACHE))
                 except Exception as e:  # row-level containment
                     if em.error_row is None:
                         continue

@@ -1,8 +1,10 @@
-"""Multimodal actor-pool stages over opaque ``binary`` payload columns.
+"""Multimodal stages over opaque ``binary`` payload columns.
 
 Pattern (system brief): media payloads are ``large_binary`` columns with
 typed metadata; decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages. In this container:
+``map_batches`` stages. Each stage is stateless or holds only its
+settings, so it is passed as an instance and runs as Ray Data tasks. In
+this container:
 
 - **images**: fully real — the engine's own PNG codec decodes blobs and
   the stage computes vectorized features (no external image lib needed)
@@ -28,9 +30,9 @@ from ..pdfcore.images import decode_png
 class ImageFeatureStage:
     """(media_ref, png: binary) -> (media_ref, width, height, mean_r/g/b).
 
-    Use: ``blobs.map_batches(ImageFeatureStage, batch_format="pyarrow",
-    concurrency=N, batch_size=B)`` — small batches for large blobs
-    (batch bytes x concurrency must fit the worker heap)."""
+    Use: ``blobs.map_batches(ImageFeatureStage(), batch_format="pyarrow",
+    batch_size=B)`` — small batches for large blobs (batch bytes x
+    concurrent tasks must fit the worker heap)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
@@ -58,7 +60,7 @@ class ImageFeatureStage:
 
 class ImageResizeStage:
     """Nearest-neighbor resize to (target_w, target_h) -> re-encoded PNG.
-    Pure-numpy (real); shows the decode-transform-encode actor shape."""
+    Pure-numpy (real); shows the decode-transform-encode stage shape."""
 
     def __init__(self, target_w: int = 32, target_h: int = 32):
         self.tw = target_w

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..pdfcore.document import Document
 from ..pdfcore.interp import Interpreter
-from .extract import _MAX_ERROR_LEN, payload_fetcher
+from .extract import _MAX_ERROR_LEN, FONT_CACHE, payload_fetcher
 
 N_REASSEMBLE_BUCKETS = 64
 
@@ -56,13 +56,15 @@ def salted_groupby(ds, key: str, combiner, salt_buckets: int = 16):
 def plan_page_ranges(docs_ds, payloads, pages_per_unit: int = 25):
     """Sizing pass: one cheap parse of each doc's page COUNT (xref + page
     tree only, no content decode) -> (doc_id, media_ref, page_lo, page_hi)
-    work units. Single-media-span docs only (the giant-doc shape)."""
+    work units. Single-media-span docs only (the giant-doc shape). A
+    missing or unparseable payload is planned as one unit, which
+    ``RangeExtractStage`` turns into the doc's error row."""
     import ray
 
     ref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
 
     def plan(batch: pa.Table) -> pa.Table:
-        store = ray.get(ref) if not isinstance(ref, dict) else ref
+        fetch = payload_fetcher(ref)
         doc_ids, refs, los, his = [], [], [], []
         for doc_id, spans in zip(
             batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
@@ -71,11 +73,8 @@ def plan_page_ranges(docs_ds, payloads, pages_per_unit: int = 25):
             if len(media) != 1:
                 continue
             mref = media[0]["media_ref"]
-            blob = store.get(mref)
-            if blob is None:
-                continue
             try:
-                n_pages = len(Document(blob).pages)
+                n_pages = len(Document(fetch(mref)).pages)
             except Exception:
                 n_pages = 0  # poison: one unit, fails row-level downstream
             for lo in range(0, max(1, n_pages), pages_per_unit):
@@ -99,12 +98,10 @@ class RangeExtractStage:
     """Extract spans for one (doc_id, page_lo, page_hi) unit."""
 
     def __init__(self, payloads=None):
-        from ..state.cache import LruCache
-
-        self.fetch = payload_fetcher(payloads)
-        self.font_cache = LruCache(max_entries=4096)
+        self.payloads = payloads
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        fetch = payload_fetcher(self.payloads)
         out_rows = {
             "doc_id": [], "page_lo": [], "kind": [], "text": [],
             "media_ref": [], "local_order": [], "error": [],
@@ -116,8 +113,8 @@ class RangeExtractStage:
             batch.column("page_hi").to_pylist(),
         ):
             try:
-                doc = Document(self.fetch(mref))
-                interp = Interpreter(doc, font_cache=self.font_cache)
+                doc = Document(fetch(mref))
+                interp = Interpreter(doc, font_cache=FONT_CACHE)
                 for page in doc.pages[lo:hi]:
                     interp._run_page(page)
                 for i, (k, t, r) in enumerate(interp.spans):
@@ -167,8 +164,7 @@ def extract_split(
     ref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     units = plan_page_ranges(docs_ds, ref, pages_per_unit=pages_per_unit)
     rows = units.map_batches(
-        RangeExtractStage,
-        fn_constructor_kwargs={"payloads": ref},
+        RangeExtractStage(payloads=ref),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -1,8 +1,10 @@
-"""Size-bounded LRU cache for actor-held state (font programs, CMaps).
+"""Size-bounded LRU cache for per-process worker state (font programs,
+CMaps).
 
-SURVEY.md §7.4.5: actor caches must be bounded or an adversarial corpus
-(millions of distinct subset fonts) grows worker heap without limit. Keys
-are content hashes, so collisions are correctness-safe evictions."""
+SURVEY.md §7.4.5: a cache that lives as long as a reused worker process
+must be bounded or an adversarial corpus (millions of distinct subset
+fonts) grows worker heap without limit. Keys are content hashes, so
+collisions are correctness-safe evictions."""
 
 from __future__ import annotations
 

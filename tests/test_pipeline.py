@@ -15,6 +15,18 @@ def corpus():
     return docs, pay, golden
 
 
+def _manifest_doc_ids(out_dir):
+    """Every doc_id the ``_lineage/*.json`` manifests record as committed."""
+    import glob
+    import json
+
+    done = set()
+    for path in glob.glob(f"{out_dir}/_lineage/*.json"):
+        with open(path) as f:
+            done.update(json.load(f)["doc_ids"])
+    return done
+
+
 def _extract_table(docs, payload_tbl, **kw):
     import ray.data as rd
 
@@ -58,7 +70,7 @@ def test_batch_size_invariance(ray_session, corpus):
 def test_run_extract_and_resume(ray_session, corpus, tmp_path):
     import ray
 
-    from pdf_ray.pipelines.extract import completed_doc_ids, run_extract
+    from pdf_ray.pipelines.extract import run_extract
 
     docs, payload_tbl, golden = corpus
     in_path = str(tmp_path / "docs.parquet")
@@ -75,7 +87,7 @@ def test_run_extract_and_resume(ray_session, corpus, tmp_path):
     assert stats["n_ok"] + stats["n_err"] == docs.num_rows
     assert stats["n_err"] == 2 * 2  # two poison fixtures x two replicas
     assert stats["skipped"] == 0
-    assert len(completed_doc_ids(out_dir)) == docs.num_rows
+    assert len(_manifest_doc_ids(out_dir)) == docs.num_rows
 
     # resume: everything already done -> nothing re-extracted
     stats2 = run_extract(in_path, out_dir, pref, concurrency=2)
@@ -229,7 +241,7 @@ def test_partial_resume(ray_session, corpus, tmp_path):
     import pyarrow.parquet as pq
     import ray
 
-    from pdf_ray.pipelines.extract import completed_doc_ids, run_extract
+    from pdf_ray.pipelines.extract import run_extract
 
     docs, payload_tbl, golden = corpus
     half = docs.slice(0, docs.num_rows // 2)
@@ -251,7 +263,7 @@ def test_partial_resume(ray_session, corpus, tmp_path):
     s2 = run_extract(full_path, out_dir, pref, concurrency=2)
     assert s2["skipped"] == half.num_rows
     assert s1["n_ok"] + s1["n_err"] + s2["n_ok"] + s2["n_err"] == docs.num_rows
-    assert completed_doc_ids(out_dir) == set(docs.column("doc_id").to_pylist())
+    assert _manifest_doc_ids(out_dir) == set(docs.column("doc_id").to_pylist())
     total = sum(
         pq.read_metadata(p).num_rows
         for p in glob.glob(f"{out_dir}/part-*.parquet")
@@ -269,7 +281,6 @@ def test_orphan_shard_gc_and_committed_read(ray_session, corpus, tmp_path):
 
     from pdf_ray.pipelines.extract import (
         committed_part_files,
-        completed_doc_ids,
         gc_orphan_shards,
         read_extracted,
         run_extract,
@@ -301,7 +312,7 @@ def test_orphan_shard_gc_and_committed_read(ray_session, corpus, tmp_path):
     all_parts = set(glob.glob(f"{out_dir}/part-*.parquet"))
     committed = set(committed_part_files(out_dir))
     assert os.path.join(out_dir, lost["file"]) in all_parts - committed
-    assert set(lost["doc_ids"]).isdisjoint(completed_doc_ids(out_dir))
+    assert set(lost["doc_ids"]).isdisjoint(_manifest_doc_ids(out_dir))
 
     # resume: orphan GC'd, lost docs re-extracted, output exactly-once
     stats = run_extract(in_path, out_dir, pref, concurrency=2)

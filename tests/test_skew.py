@@ -25,6 +25,7 @@ def test_split_extraction_matches_unsplit(ray_session):
 
     from pdf_ray.fixtures.corpus import FIXTURES, f18_outlier_200pp
     from pdf_ray.pdfcore.interp import extract_spans
+    from pdf_ray.pipelines.extract import extract_dataset
     from pdf_ray.schema import DOCS
     from pdf_ray.stages.skew import extract_split
 
@@ -43,15 +44,17 @@ def test_split_extraction_matches_unsplit(ray_session):
                 ],
             }
             for i, ref in enumerate(
-                ["pdf://f18", "pdf://f18x60", "pdf://f13", "pdf://bad"]
+                ["pdf://f18", "pdf://f18x60", "pdf://f13", "pdf://bad",
+                 "pdf://missing"]
             )
         ],
         schema=DOCS,
     )
+    ref = ray.put(payloads)
     out = (
         extract_split(
             rd.from_arrow(docs),
-            ray.put(payloads),
+            ref,
             pages_per_unit=30,
             concurrency=2,
             batch_size=4,
@@ -60,7 +63,19 @@ def test_split_extraction_matches_unsplit(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
-    assert list(out["status"]) == ["ok", "ok", "ok", "error"]
+    assert list(out["status"]) == ["ok", "ok", "ok", "error", "error"]
+    # a missing payload is planned as one unit and fails like a poison
+    # one, with the same error row as the unsplit path
+    unsplit = (
+        extract_dataset(rd.from_arrow(docs), ref, concurrency=2)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert list(out["doc_id"]) == list(unsplit["doc_id"])
+    assert list(out["status"]) == list(unsplit["status"])
+    assert list(out["error"][3:]) == list(unsplit["error"][3:])
+    assert out["error"][4] == "KeyError: \"payload 'pdf://missing' not found\""
     for i, ref in enumerate(["pdf://f18", "pdf://f18x60", "pdf://f13"]):
         expected, _ = extract_spans(payloads[ref])
         got = [
