@@ -9,9 +9,12 @@ Scale notes (SURVEY.md §4):
 - the payload store is broadcast once via ``ray.put`` (small side) — at
   real scale swap in a ``payload_resolver`` that reads a blob store;
   nothing else changes
-- skew: batch_size bounds *documents* per task; a 200-page outlier costs
-  ~200x a 1-pager but stays one row — blocks are rebalanced with
-  ``repartition`` before the heavy stage so stragglers don't pin the tail
+- skew: a 200-page outlier costs ~200x a 1-pager but stays one row;
+  what bounds a straggler is ``batch_size``, the documents per task, so
+  one outlier holds up one task's batch, not the job (blocks are not
+  rebalanced; ``stages/skew.py`` splits giant docs by page range)
+- commit: shards and their manifests go through ``pipelines/commit.py``,
+  the protocol the curate writer shares
 - resume: completed doc_ids come from the lineage manifests written next
   to the output; restart filters them out with a SHUFFLE-BASED anti-join
   (manifests read as a Dataset, both sides bucketed on crc32(doc_id) %% B,
@@ -23,13 +26,20 @@ Scale notes (SURVEY.md §4):
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.extract import ExtractStage
+from ..stages.extract import ExtractStage, doc_bucket
+from .commit import (
+    commit_shard,
+    gc_orphan_shards,
+    manifest_dir,
+    read_committed as read_extracted,
+    resume_manifests,
+)
 
 
 def extract_dataset(
@@ -128,36 +138,16 @@ def extract_image_blobs(docs_ds, payloads, concurrency=4, batch_size: int = 64):
     )
 
 
-def _manifest_dir(output_dir: str) -> str:
-    return os.path.join(output_dir, "_lineage")
-
-
-N_RESUME_BUCKETS = 64
-
-
-def _crc32_bucket(ids: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """crc32(doc_id) %% B bucket column — the same doc_id partitioner the
-    skew reassembly uses (stages/skew.py), so one key function governs
-    every doc_id co-location in the repo."""
-    import zlib
-
-    return pa.array(
-        [zlib.crc32(d.encode()) % N_RESUME_BUCKETS for d in ids.to_pylist()],
-        pa.int32(),
-    )
-
-
 def resume_remaining(docs_ds, output_dir: str):
     """Filter the input down to docs NOT yet committed, as a shuffle-based
-    anti-join (round-3 verdict #1): the ``_lineage/*.json`` manifests are
-    read as a Dataset (``read_json`` — each manifest is one JSON record
+    anti-join (round-3 verdict #1): the lineage manifests are read as a
+    Dataset (``read_json``: each manifest is one JSON record
     whose ``doc_ids`` list flattens to one row per done doc), tagged
     side=1 and unioned with the side=0 input, both bucketed on
     ``crc32(doc_id) %% B``; each bucket group drops side-0 rows whose
     doc_id appears in the bucket's side-1 set with a single vectorized
     ``pyarrow.compute.is_in``. No driver-side done-set, no ``ray.put`` of
     a doc-id collection, no per-row Python membership test."""
-    import pyarrow.compute as pc  # noqa: F811 (module-level alias exists)
     import ray.data as rd
 
     sch = docs_ds.schema()
@@ -166,7 +156,7 @@ def resume_remaining(docs_ds, output_dir: str):
 
     def tag_input(t: pa.Table) -> pa.Table:
         return t.append_column(
-            "bucket", _crc32_bucket(t.column("doc_id"))
+            "bucket", doc_bucket(t.column("doc_id"))
         ).append_column("side", pa.array([0] * t.num_rows, pa.int8()))
 
     def done_rows(t: pa.Table) -> pa.Table:
@@ -177,12 +167,12 @@ def resume_remaining(docs_ds, output_dir: str):
             for name, typ in zip(names, types)
         }
         out = pa.table(cols)
-        return out.append_column("bucket", _crc32_bucket(ids)).append_column(
+        return out.append_column("bucket", doc_bucket(ids)).append_column(
             "side", pa.array([1] * n, pa.int8())
         )
 
     done_ds = rd.read_json(
-        _manifest_dir(output_dir), file_extensions=["json"]
+        manifest_dir(output_dir), file_extensions=["json"]
     ).map_batches(done_rows, batch_format="pyarrow")
 
     def anti_bucket(g: pa.Table) -> pa.Table:
@@ -202,60 +192,8 @@ def resume_remaining(docs_ds, output_dir: str):
     )
 
 
-def _read_manifests(output_dir: str) -> list[dict]:
-    mdir = _manifest_dir(output_dir)
-    if not os.path.isdir(mdir):
-        return []
-    out = []
-    for name in sorted(os.listdir(mdir)):
-        if name.endswith(".json"):
-            with open(os.path.join(mdir, name)) as f:
-                out.append(json.load(f))
-    return out
-
-
-def committed_part_files(output_dir: str) -> list[str]:
-    """The manifests ARE the commit record: only part files listed in a
-    manifest are committed output. A crash between shard publish and
-    manifest write leaves an orphan shard — consumers must not read it
-    (and resume garbage-collects it, see gc_orphan_shards)."""
-    return sorted(
-        os.path.join(output_dir, m["file"])
-        for m in _read_manifests(output_dir)
-        if os.path.exists(os.path.join(output_dir, m["file"]))
-    )
-
-
-def read_extracted(output_dir: str):
-    """Read the COMMITTED extraction output as a Ray Dataset (manifest-
-    listed part files only)."""
-    import ray.data as rd
-
-    return rd.read_parquet(committed_part_files(output_dir))
-
-
-def gc_orphan_shards(output_dir: str) -> int:
-    """Delete part files not listed in any manifest (shards published by
-    a task that died before writing its commit record). Their doc_ids are
-    absent from the manifests, so resume re-extracts them — without GC the
-    output dir would hold duplicate rows for those docs."""
-    committed = {os.path.basename(p) for p in committed_part_files(output_dir)}
-    n = 0
-    if not os.path.isdir(output_dir):
-        return 0
-    for name in os.listdir(output_dir):
-        if (
-            name.startswith("part-")
-            and name.endswith(".parquet")
-            and name not in committed
-        ):
-            os.remove(os.path.join(output_dir, name))
-            n += 1
-    return n
-
-
 class ExtractWriteStage:
-    """Fused extract+write sink: parses the batch AND writes its parquet
+    """Fused extract+write sink: parses the batch AND commits its parquet
     shard + lineage manifest from inside the task, emitting only a tiny
     stats row. The span tables never transit the object store — at 100 TB
     that hop (serialize -> plasma -> downstream read) is pure overhead when
@@ -266,47 +204,39 @@ class ExtractWriteStage:
         self.output_dir = output_dir
         # recorded in every manifest so a resume under different flags is
         # REFUSED instead of silently mixing differently-extracted docs
-        self.flags = {"strip_artifacts": bool(kw.get("strip_artifacts", False))}
+        self.identity = {
+            "flags": {"strip_artifacts": bool(kw.get("strip_artifacts", False))}
+        }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-
-        import pyarrow.parquet as pq
-
         out = self.inner(batch)
         if out.num_rows == 0:
             return pa.table(
                 {"n_ok": pa.array([], pa.int64()), "n_err": pa.array([], pa.int64())}
             )
-        # DETERMINISTIC shard id (content-derived): a Ray task retry that
-        # re-executes an already-committed batch overwrites the SAME shard
-        # and manifest (os.replace is atomic), so retries are idempotent —
-        # without this, a retry after commit would double every doc in the
-        # batch under a second uuid
-        task_id = hashlib.sha256(
-            "\n".join(out.column("doc_id").to_pylist()).encode()
-        ).hexdigest()[:16]
-        part = os.path.join(self.output_dir, f"part-{task_id}.parquet")
-        pq.write_table(out, part + ".tmp")
-        os.replace(part + ".tmp", part)
+        doc_ids = out.column("doc_id").to_pylist()
         n_err = pc.sum(
             pc.cast(pc.equal(out.column("status"), "error"), pa.int64())
         ).as_py() or 0
-        manifest = {
-            "doc_ids": out.column("doc_id").to_pylist(),
-            "n_ok": out.num_rows - n_err,
-            "n_err": n_err,
-            "file": os.path.basename(part),
-            "flags": self.flags,
-        }
-        mdir = _manifest_dir(self.output_dir)
-        mtmp = os.path.join(mdir, f"{task_id}.json.tmp")
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(mtmp, mtmp[:-4])
+        # DETERMINISTIC shard name (content-derived): a Ray task retry that
+        # re-executes an already-committed batch overwrites the SAME shard
+        # and manifest, so retries are idempotent — without this, a retry
+        # after commit would double every doc in the batch under a second
+        # name
+        commit_shard(
+            self.output_dir,
+            hashlib.sha256("\n".join(doc_ids).encode()).hexdigest()[:16],
+            out,
+            {
+                "doc_ids": doc_ids,
+                "n_ok": out.num_rows - n_err,
+                "n_err": n_err,
+                **self.identity,
+            },
+        )
         return pa.table(
             {
-                "n_ok": pa.array([manifest["n_ok"]], pa.int64()),
+                "n_ok": pa.array([out.num_rows - n_err], pa.int64()),
                 "n_err": pa.array([n_err], pa.int64()),
             }
         )
@@ -323,14 +253,13 @@ def run_extract(
 ):
     """Run the flagship pipeline with per-partition lineage + resume.
 
-    Output layout: ``output_dir/part-*.parquet`` plus
-    ``output_dir/_lineage/<task>.json`` manifests ``{doc_ids, n_ok, n_err,
-    file}``. The MANIFEST is the commit record: the shard is published
-    first, then the manifest (both atomically via tmp+rename), so a crash
-    between the two leaves an orphan shard that no manifest lists. Resume
-    garbage-collects orphans and re-extracts their doc_ids; consumers read
-    committed output via ``read_extracted`` (manifest-listed files only),
-    which together give exactly-once output semantics.
+    Each task commits its shard through ``pipelines/commit.py``: a
+    ``part-<hash>.parquet`` plus a manifest ``{doc_ids, n_ok, n_err, flags,
+    file}``, the commit record. Resume garbage-collects orphan shards,
+    refuses manifests written under other ``flags`` and re-extracts every
+    doc no manifest lists; consumers read committed output via
+    ``read_extracted`` (manifest-listed files only), which together give
+    exactly-once output semantics.
 
     Shards are written from inside the extract tasks (ExtractWriteStage),
     so span tables never transit the object store.
@@ -338,21 +267,15 @@ def run_extract(
     import ray
     import ray.data as rd
 
+    pref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
+    stage = ExtractWriteStage(
+        payloads=pref, output_dir=output_dir, strip_artifacts=strip_artifacts
+    )
     docs_ds = rd.read_parquet(input_path)
-    flags = {"strip_artifacts": strip_artifacts}
     skipped = 0
     if resume:
         gc_orphan_shards(output_dir)
-        manifests = _read_manifests(output_dir)
-        for m in manifests:
-            mf = m.get("flags", {"strip_artifacts": False})
-            if mf != flags:
-                raise ValueError(
-                    "resume refused: output_dir was committed with flags "
-                    f"{mf} but this run uses {flags}; resuming would mix "
-                    "differently-extracted docs in 'exactly-once' output. "
-                    "Use a fresh output_dir or resume=False."
-                )
+        manifests = resume_manifests(output_dir, stage.identity)
         # committed doc count from manifest counters only — the doc_ids
         # themselves stay distributed (resume_remaining reads them as a
         # Dataset; no driver set, no broadcast)
@@ -360,13 +283,10 @@ def run_extract(
         if manifests:
             docs_ds = resume_remaining(docs_ds, output_dir)
 
-    os.makedirs(_manifest_dir(output_dir), exist_ok=True)
+    os.makedirs(manifest_dir(output_dir), exist_ok=True)
 
-    pref = payloads if not isinstance(payloads, dict) else ray.put(payloads)
     stats = docs_ds.map_batches(
-        ExtractWriteStage(
-            payloads=pref, output_dir=output_dir, strip_artifacts=strip_artifacts
-        ),
+        stage,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -38,6 +38,47 @@ from ..state.cache import LruCache
 
 _MAX_ERROR_LEN = 512
 
+# doc_id partitioner: every doc_id co-location (the resume anti-join, the
+# skew reassembly) buckets on crc32(doc_id) %% N_DOC_BUCKETS
+N_DOC_BUCKETS = 64
+
+
+def doc_bucket(ids: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """``crc32(doc_id) %% N_DOC_BUCKETS`` for every id, as int32."""
+    import zlib
+
+    return pa.array(
+        [zlib.crc32(d.encode()) % N_DOC_BUCKETS for d in ids.to_pylist()],
+        pa.int32(),
+    )
+
+
+def extracted_table(
+    doc_ids: pa.Array, kinds, texts, refs, orders, offsets, n_spans, statuses, errors
+) -> pa.Table:
+    """An ``EXTRACTED`` table from flat span lists plus list offsets (one
+    per doc, starting at 0); dict columns would break Ray's block schema
+    hashing."""
+    span_struct = pa.StructArray.from_arrays(
+        [
+            pa.array(kinds, pa.string()),
+            pa.array(texts, pa.string()),
+            pa.array(refs, pa.string()),
+            pa.array(orders, pa.int32()),
+        ],
+        names=["kind", "text", "media_ref", "order"],
+    )
+    return pa.Table.from_arrays(
+        [
+            doc_ids,
+            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), span_struct),
+            pa.array(n_spans, pa.int32()),
+            pa.array(statuses, pa.string()),
+            pa.array(errors, pa.string()),
+        ],
+        schema=EXTRACTED,
+    )
+
 # Parsed font programs, shared by every stage and job in this process.
 # Keys are (parser name, sha256 of the program bytes), so an entry is
 # right for any stage that finds it. LRU-bounded so adversarial corpora
@@ -142,28 +183,9 @@ class ExtractStage:
                 errors.append(f"{type(e).__name__}: {e}"[:_MAX_ERROR_LEN])
             n_spans.append(len(kinds) - start)
             offsets.append(len(kinds))
-
-        span_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(kinds, pa.string()),
-                pa.array(texts, pa.string()),
-                pa.array(refs, pa.string()),
-                pa.array(orders, pa.int32()),
-            ],
-            names=["kind", "text", "media_ref", "order"],
-        )
-        spans_col = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), span_struct
-        )
-        return pa.Table.from_arrays(
-            [
-                batch.column("doc_id").combine_chunks(),
-                spans_col,
-                pa.array(n_spans, pa.int32()),
-                pa.array(statuses, pa.string()),
-                pa.array(errors, pa.string()),
-            ],
-            schema=EXTRACTED,
+        return extracted_table(
+            batch.column("doc_id").combine_chunks(),
+            kinds, texts, refs, orders, offsets, n_spans, statuses, errors,
         )
 
     def _extract_doc(

@@ -17,9 +17,13 @@ import pyarrow as pa
 
 from ..pdfcore.document import Document
 from ..pdfcore.interp import Interpreter
-from .extract import _MAX_ERROR_LEN, FONT_CACHE, payload_fetcher
-
-N_REASSEMBLE_BUCKETS = 64
+from .extract import (
+    _MAX_ERROR_LEN,
+    FONT_CACHE,
+    doc_bucket,
+    extracted_table,
+    payload_fetcher,
+)
 
 
 def salted_groupby(ds, key: str, combiner, salt_buckets: int = 16):
@@ -171,28 +175,16 @@ def extract_split(
         num_cpus=1,
     )
 
-    from ..schema import EXTRACTED
-
     def add_bucket(t: pa.Table) -> pa.Table:
         """bucket = crc32(doc_id) %% B — B FIXED reducer groups instead of
         one Python map_groups call per doc (per-group overhead is the
         death mode at high doc cardinality). All of a doc's range rows
         share the bucket, so in-bucket reassembly is complete per doc."""
-        import zlib
-
-        b = pa.array(
-            [
-                zlib.crc32(d.encode()) % N_REASSEMBLE_BUCKETS
-                for d in t.column("doc_id").to_pylist()
-            ],
-            pa.int32(),
-        )
-        return t.append_column("bucket", b)
+        return t.append_column("bucket", doc_bucket(t.column("doc_id")))
 
     def reassemble_bucket(g: pd.DataFrame) -> pa.Table:
-        """One Arrow table for ALL docs in the bucket: flat span arrays +
-        list offsets (same construction as ExtractStage.__call__ — dict
-        columns would break Ray's block schema hashing). Span order is
+        """One Arrow table for ALL docs in the bucket, assembled like
+        ExtractStage's (``extracted_table``). Span order is
         restored by the (doc_id, page_lo, local_order) sort; doc order
         within the bucket is irrelevant downstream (D5 ordering is
         per-doc)."""
@@ -226,27 +218,9 @@ def extract_split(
                 errors.append(None)
                 n_spans.append(len(d))
             offsets.append(len(kinds))
-        span_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(kinds, pa.string()),
-                pa.array(texts, pa.string()),
-                pa.array(refs, pa.string()),
-                pa.array(orders, pa.int32()),
-            ],
-            names=["kind", "text", "media_ref", "order"],
-        )
-        spans_col = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), span_struct
-        )
-        return pa.Table.from_arrays(
-            [
-                pa.array(doc_ids, pa.string()),
-                spans_col,
-                pa.array(n_spans, pa.int32()),
-                pa.array(statuses, pa.string()),
-                pa.array(errors, pa.string()),
-            ],
-            schema=EXTRACTED,
+        return extracted_table(
+            pa.array(doc_ids, pa.string()),
+            kinds, texts, refs, orders, offsets, n_spans, statuses, errors,
         )
 
     return (

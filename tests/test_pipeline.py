@@ -27,6 +27,47 @@ def _manifest_doc_ids(out_dir):
     return done
 
 
+def _drop_manifest_key(out_dir, key):
+    """Rewrite one committed manifest without ``key``."""
+    import glob
+    import json
+
+    path = sorted(glob.glob(f"{out_dir}/_lineage/*.json"))[0]
+    with open(path) as f:
+        m = json.load(f)
+    del m[key]
+    with open(path, "w") as f:
+        json.dump(m, f)
+
+
+def _plant_crash_leftovers(out_dir):
+    """The files a writer killed inside a shard or manifest write leaves:
+    ``part-*.parquet.tmp`` and ``_lineage/*.json.tmp``. A resume's batches
+    hold only the remaining docs, so no later write reuses their names;
+    only the orphan GC removes them."""
+    paths = [
+        f"{out_dir}/part-crashed.parquet.tmp",
+        f"{out_dir}/_lineage/crashed.json.tmp",
+    ]
+    for path in paths:
+        with open(path, "w") as f:
+            f.write("partial")
+    return paths
+
+
+def _remove_one_committed_shard(out_dir):
+    """Delete the part file of one manifest, as an outside deletion or a
+    partial copy of the directory would; returns that file's name."""
+    import glob
+    import json
+    import os
+
+    with open(sorted(glob.glob(f"{out_dir}/_lineage/*.json"))[0]) as f:
+        name = json.load(f)["file"]
+    os.remove(os.path.join(out_dir, name))
+    return name
+
+
 def _extract_table(docs, payload_tbl, **kw):
     import ray.data as rd
 
@@ -170,6 +211,11 @@ def test_resume_refuses_flag_mismatch(ray_session, corpus, tmp_path):
         run_extract(
             in_path, out_dir, pref, concurrency=2, strip_artifacts=True
         )
+    # a manifest without its flags is a mismatch too, even for the
+    # default flags (no legacy default is assumed)
+    _drop_manifest_key(out_dir, "flags")
+    with pytest.raises(ValueError, match="resume refused"):
+        run_extract(in_path, out_dir, pref, concurrency=2)
     # resume=False into a FRESH dir under the other flag is fine
     run_extract(
         in_path,
@@ -274,13 +320,14 @@ def test_partial_resume(ray_session, corpus, tmp_path):
 def test_orphan_shard_gc_and_committed_read(ray_session, corpus, tmp_path):
     """A shard published WITHOUT its manifest (crash between the two
     writes) is an orphan: committed readers must skip it and resume must
-    GC it, then re-extract its docs exactly once."""
+    GC it (with any ``*.tmp`` crash leftovers), then re-extract its docs
+    exactly once. A manifest whose part file is missing raises."""
     import glob
 
     import ray
 
+    from pdf_ray.pipelines.commit import committed_part_files
     from pdf_ray.pipelines.extract import (
-        committed_part_files,
         gc_orphan_shards,
         read_extracted,
         run_extract,
@@ -314,13 +361,24 @@ def test_orphan_shard_gc_and_committed_read(ray_session, corpus, tmp_path):
     assert os.path.join(out_dir, lost["file"]) in all_parts - committed
     assert set(lost["doc_ids"]).isdisjoint(_manifest_doc_ids(out_dir))
 
-    # resume: orphan GC'd, lost docs re-extracted, output exactly-once
+    # resume: orphan GC'd with the crash leftovers, lost docs
+    # re-extracted, output exactly-once
+    leftovers = _plant_crash_leftovers(out_dir)
     stats = run_extract(in_path, out_dir, pref, concurrency=2)
+    assert not any(os.path.exists(p) for p in leftovers)
     assert stats["skipped"] == docs.num_rows - len(lost["doc_ids"])
     assert stats["n_ok"] + stats["n_err"] == len(lost["doc_ids"])
     out = read_extracted(out_dir).to_pandas()
     assert sorted(out["doc_id"]) == sorted(docs.column("doc_id").to_pylist())
     assert gc_orphan_shards(out_dir) == 0
+
+    # a manifest whose part file is gone would count its docs as done
+    # while the committed read drops them: resume and read both raise
+    name = _remove_one_committed_shard(out_dir)
+    with pytest.raises(ValueError, match=name):
+        run_extract(in_path, out_dir, pref, concurrency=2)
+    with pytest.raises(ValueError, match=name):
+        read_extracted(out_dir)
 
 
 def test_write_stage_retry_is_idempotent(ray_session, corpus, tmp_path):
@@ -450,12 +508,13 @@ def test_write_curated_resume_and_orphan_gc(ray_session, tmp_path):
     """Curated-corpus writer: exactly-once shards via manifests — a full
     write commits every shard; a rerun skips all of them; deleting one
     manifest (its shard becomes an orphan) re-writes exactly that shard
-    with identical content."""
+    with identical content, and the resume removes crash leftovers. A
+    manifest whose part file is missing raises."""
     import json
     import os
 
+    from pdf_ray.pipelines.commit import manifest_dir
     from pdf_ray.pipelines.curate import (
-        _manifest_dir,
         gc_orphan_shards,
         read_curated,
         write_curated,
@@ -475,16 +534,25 @@ def test_write_curated_resume_and_orphan_gc(ray_session, tmp_path):
 
     # crash simulation: shard published but manifest lost -> orphan is
     # GC'd and exactly that shard is recomputed, byte-identical rows
-    mdir = _manifest_dir(out)
+    mdir = manifest_dir(out)
     victim = sorted(os.listdir(mdir))[0]
     with open(os.path.join(mdir, victim)) as fh:
         man = json.load(fh)
     os.remove(os.path.join(mdir, victim))
     assert os.path.exists(os.path.join(out, man["file"]))
+    leftovers = _plant_crash_leftovers(out)
     r3 = write_curated(sf, out, n_shards=8)
+    assert not any(os.path.exists(p) for p in leftovers)
     assert r3["written"] == 1 and r3["n_rows"] == man["n_rows"]
     assert read_curated(out).count() == total
     assert not gc_orphan_shards(out)  # nothing orphaned after commit
+
+    # a manifest whose part file is gone: resume and read both raise
+    name = _remove_one_committed_shard(out)
+    with pytest.raises(ValueError, match=name):
+        write_curated(sf, out, n_shards=8)
+    with pytest.raises(ValueError, match=name):
+        read_curated(out)
 
 
 def test_write_curated_refuses_n_shards_mismatch(ray_session, tmp_path):
@@ -498,3 +566,7 @@ def test_write_curated_refuses_n_shards_mismatch(ray_session, tmp_path):
     write_curated(sf, out, n_shards=8)
     with pytest.raises(ValueError, match="resume refused"):
         write_curated(sf, out, n_shards=4)
+    _drop_manifest_key(out, "n_shards")
+    with pytest.raises(ValueError, match="resume refused"):
+        write_curated(sf, out, n_shards=8)
+

@@ -92,7 +92,7 @@ def main():
     t0 = time.time()
     if mode == "materialize":
         ds = extract_dataset(
-            rd.read_parquet(in_path), pref, concurrency=cpus - 2, batch_size=200
+            rd.read_parquet(in_path), pref, concurrency=cpus, batch_size=200
         )
         mat = ds.materialize()
         result = {"rows": mat.count(), "output_bytes": mat.size_bytes()}
@@ -101,7 +101,7 @@ def main():
             in_path,
             out_dir,
             pref,
-            concurrency=cpus - 2,
+            concurrency=cpus,
             batch_size=200,
             resume=False,
         )
