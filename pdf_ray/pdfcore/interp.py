@@ -19,6 +19,16 @@ emit interleaved spans instead of painting:
 - span ``order`` is a 0-based per-document counter across pages in document
   order and across nested form invocations
 
+One pass per content stream: ``content.statements`` matches each operator
+statement whole, ``_exec`` pushes its operands and calls the operator's
+handler from one table (``_OPS``), the way the reference's loop has one
+``match`` arm per operator. Plain operands stay raw bytes on the stack
+until a handler reads them, so operators whose operands no output reads
+(path, colour, graphics state and, with ``compute_positions`` off, the
+text matrix and text state) only check their types. ``compute_positions``
+selects ``_POSITION_OPS``, the same table with the handlers that keep the
+matrices.
+
 Matrix conventions are textbook affine 6-tuples (a b c d e f); the
 reference's translation-add quirk (src/data_structures/matrix.rs:36-38) is
 deliberately not replicated — positions never affect span equality.
@@ -26,10 +36,12 @@ deliberately not replicated — positions never affect span equality.
 
 from __future__ import annotations
 
-from .content import INLINE, OBJ, OP, tokenize
+# ``tokenize`` stays importable here: the traced benchmark run wraps
+# ``interp.tokenize``, although the pass itself reads ``statements``
+from .content import INLINE, statements, tokenize, value  # noqa: F401
 from .document import Document, Page
 from .images import decode_image_pixels, encode_png, media_ref_for_pixels
-from .objects import NULL, Name, PdfParseError, Ref, Stream
+from .objects import NULL, Name, PdfParseError, Stream
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -80,6 +92,9 @@ class TextState:
         self.tm = IDENTITY
         self.tlm = IDENTITY
 
+
+# first bytes of the raw plain operands that are not numbers: / and (
+_NOT_NUMBER = (0x2F, 0x28)
 
 # marked-content stack sentinel for a hidden optional-content scope
 _OC_HIDDEN = ("__oc_hidden__", None)
@@ -145,6 +160,8 @@ class Interpreter:
         self.images: dict[str, bytes] = {}
         self._font_widths = None  # lazy per-Tf width lookup
         self._font_info = None  # FontInfo for unicode enrichment
+        self._inline_kv: list = []  # inline image dict entries, set by ID
+        self._ops = _POSITION_OPS if compute_positions else _OPS
 
     def _append_span(self, kind, text, ref) -> None:
         if self._oc_hidden:
@@ -191,33 +208,55 @@ class Interpreter:
         self._exec(content, resources)
 
     # -- operand helpers -----------------------------------------------------
+    # Plain operands sit on the stack as raw bytes (content.py) until read;
+    # each helper checks the type and converts only what it returns.
 
     def _pop(self):
-        if not self.stack:
-            raise PdfParseError("operand stack underflow")
-        return self.stack.pop()
+        try:
+            return self.stack.pop()
+        except IndexError:
+            raise PdfParseError("operand stack underflow") from None
 
     def _pop_number(self) -> float:
         v = self._pop()
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise PdfParseError(f"expected number, got {v!r}")
-        return float(v)
+        if type(v) is bytes:
+            if v[0] not in _NOT_NUMBER:
+                f = float(v)
+                return f if f or b"." in v else 0.0  # an int -0 is +0.0
+        elif not isinstance(v, bool) and isinstance(v, (int, float)):
+            return float(v)
+        raise PdfParseError(f"expected number, got {value(v)!r}")
+
+    def _check_numbers(self, n: int) -> None:
+        """Pop ``n`` numbers with ``_pop_number``'s checks and errors, for
+        an operator whose operands no output reads."""
+        for _ in range(n):
+            v = self._pop()
+            if type(v) is bytes:
+                if v[0] not in _NOT_NUMBER:
+                    continue
+            elif not isinstance(v, bool) and isinstance(v, (int, float)):
+                float(v)  # an int past float's range raises here too
+                continue
+            raise PdfParseError(f"expected number, got {value(v)!r}")
 
     def _pop_name(self) -> str:
         v = self._pop()
-        if not isinstance(v, Name):
-            raise PdfParseError(f"expected name, got {v!r}")
-        return str(v)
+        if type(v) is bytes:
+            if v[0] == 0x2F:  # /
+                return v[1:].decode("latin-1")
+        elif isinstance(v, Name):
+            return str(v)
+        raise PdfParseError(f"expected name, got {value(v)!r}")
 
     def _pop_string(self) -> str:
         v = self._pop()
-        if not isinstance(v, str) or isinstance(v, Name):
-            raise PdfParseError(f"expected string, got {v!r}")
-        return v
-
-    def _pop_n(self, n: int) -> None:
-        for _ in range(n):
-            self._pop()
+        if type(v) is bytes:
+            if v[0] == 0x28:  # (
+                return v[1:-1].decode("latin-1")
+        elif isinstance(v, str) and not isinstance(v, Name):
+            return v
+        raise PdfParseError(f"expected string, got {value(v)!r}")
 
     # -- text ----------------------------------------------------------------
 
@@ -366,192 +405,186 @@ class Interpreter:
     # -- main loop -----------------------------------------------------------
 
     def _exec(self, content: bytes, resources: dict) -> None:
+        """Run one content stream: push each statement's operands, then
+        call its operator's handler from the table."""
+        ops = self._ops
+        stack = self.stack
+        for operands, op in statements(content):
+            stack += operands
+            if op is not None:
+                ops[op](self, resources)
+
+    # -- operators -------------------------------------------------------------
+    # One handler per operator, called as ``handler(self, resources)``
+    # through ``_OPS``. The ``*_positions`` handlers keep the text and
+    # graphics matrices; ``_POSITION_OPS`` swaps them in for
+    # compute_positions. In ``_OPS`` their operators only check their
+    # operands, as no output reads a matrix when positions are off.
+
+    def _op_Tj(self, resources) -> None:
+        self._emit_text(self._pop_string())
+
+    def _op_Tj_positions(self, resources) -> None:
+        s = self._pop_string()
+        self._advance_after(s)
+        self._emit_text(s)
+
+    def _op_TJ(self, resources) -> None:
+        arr = self._pop()
+        if not isinstance(arr, list):
+            raise PdfParseError("TJ expects an array")
+        self._show(arr)
+
+    def _op_quote_positions(self, resources) -> None:
+        s = self._pop_string()
+        self._next_line()
+        self._advance_after(s)
+        self._emit_text(s)
+
+    def _op_dquote(self, resources) -> None:
+        s = self._pop_string()
+        self._check_numbers(2)  # ac, aw
+        self._emit_text(s)
+
+    def _op_dquote_positions(self, resources) -> None:
+        s = self._pop_string()
+        ac = self._pop_number()
+        aw = self._pop_number()
+        self.ts.word_spacing = aw
+        self.ts.char_spacing = ac
+        self._next_line()
+        self._advance_after(s)
+        self._emit_text(s)
+
+    def _op_BT_positions(self, resources) -> None:  # also ET
+        self.ts.tm = IDENTITY
+        self.ts.tlm = IDENTITY
+
+    def _op_Td_positions(self, resources) -> None:
+        ty = self._pop_number()
+        tx = self._pop_number()
+        m = mat_mul(translation(tx, ty), self.ts.tlm)
+        self.ts.tm = m
+        self.ts.tlm = m
+
+    def _op_TD_positions(self, resources) -> None:
+        ty = self._pop_number()
+        tx = self._pop_number()
         ts = self.ts
-        inline_dict: list = []
-        for kind, val in tokenize(content):
-            if kind == OBJ:
-                self.stack.append(val)
-                continue
-            if kind == INLINE:
-                self._emit_inline_image(inline_dict, val)
-                continue
-            op = val
-            if op == "Tj":
-                self._show([self._pop_string()])
-            elif op == "TJ":
-                arr = self._pop()
-                if not isinstance(arr, list):
-                    raise PdfParseError("TJ expects an array")
-                self._show(arr)
-            elif op == "'":
-                s = self._pop_string()
-                self._next_line()
-                self._show([s])
-            elif op == '"':
-                s = self._pop_string()
-                ac = self._pop_number()
-                aw = self._pop_number()
-                ts.word_spacing = aw
-                ts.char_spacing = ac
-                self._next_line()
-                self._show([s])
-            elif op == "BT":
-                ts.tm = IDENTITY
-                ts.tlm = IDENTITY
-            elif op == "ET":
-                ts.tm = IDENTITY
-                ts.tlm = IDENTITY
-            elif op == "Tf":
-                size = self._pop_number()
-                name = self._pop_name()
-                self._set_font(name, size, resources)
-            elif op == "Td":
-                ty = self._pop_number()
-                tx = self._pop_number()
-                m = mat_mul(translation(tx, ty), ts.tlm)
-                ts.tm = m
-                ts.tlm = m
-            elif op == "TD":
-                ty = self._pop_number()
-                tx = self._pop_number()
-                ts.leading = -ty
-                m = mat_mul(translation(tx, ty), ts.tlm)
-                ts.tm = m
-                ts.tlm = m
-            elif op == "Tm":
-                f = self._pop_number()
-                e = self._pop_number()
-                d = self._pop_number()
-                c = self._pop_number()
-                b = self._pop_number()
-                a = self._pop_number()
-                ts.tm = (a, b, c, d, e, f)
-                ts.tlm = ts.tm
-            elif op == "T*":
-                self._next_line()
-            elif op == "TL":
-                ts.leading = self._pop_number()
-            elif op == "Tc":
-                ts.char_spacing = self._pop_number()
-            elif op == "Tw":
-                ts.word_spacing = self._pop_number()
-            elif op == "Tz":
-                ts.horizontal_scaling = self._pop_number() / 100.0
-            elif op == "Ts":
-                ts.rise = self._pop_number()
-            elif op == "Tr":
-                ts.render_mode = int(self._pop_number())
-            elif op == "Do":
-                self._do_xobject(self._pop_name(), resources)
-            elif op == "q":
-                self._push_gs()
-            elif op == "Q":
-                self._restore_gs()
-            elif op == "cm":
-                f = self._pop_number()
-                e = self._pop_number()
-                d = self._pop_number()
-                c = self._pop_number()
-                b = self._pop_number()
-                a = self._pop_number()
-                self.ctm = mat_mul((a, b, c, d, e, f), self.ctm)
-            elif op == "BMC":
-                self.marked.append((self._pop_name(), None))
-            elif op == "MP":
-                self._pop_name()  # point operator: no scope, no EMC
-            elif op == "DP":
-                self._pop()  # properties
-                self._pop_name()  # point operator: no scope, no EMC
-            elif op == "BDC":
-                props = self._pop()
-                tag = self._pop_name()
-                if self.hidden_ocgs is not None and str(tag) == "OC":
-                    from .ocg import oc_is_hidden
+        ts.leading = -ty
+        m = mat_mul(translation(tx, ty), ts.tlm)
+        ts.tm = m
+        ts.tlm = m
 
-                    raw = props
-                    if isinstance(props, Name):  # /Properties resource name
-                        props_res = self.doc.resolve(
-                            resources.get("Properties", NULL)
-                        )
-                        raw = (
-                            props_res.get(str(props), NULL)
-                            if isinstance(props_res, dict)
-                            else NULL
-                        )
-                    if oc_is_hidden(self.doc, raw, self.hidden_ocgs):
-                        self.marked.append(_OC_HIDDEN)
-                        self._oc_hidden += 1
-                        continue
-                if self.apply_actual_text or self.collect_mcids:
-                    if isinstance(props, Name):  # /Properties resource ref
-                        props_res = self.doc.resolve(
-                            resources.get("Properties", NULL)
-                        )
-                        pdict = (
-                            self.doc.resolve(props_res.get(str(props), NULL))
-                            if isinstance(props_res, dict)
-                            else NULL
-                        )
-                    else:
-                        pdict = props
-                    at = (
-                        pdict.get("ActualText")
-                        if isinstance(pdict, dict)
-                        else None
-                    )
-                    if self.apply_actual_text and isinstance(at, str):
-                        self.marked.append(
-                            {
-                                "text": at,
-                                "emitted": False,
-                                "tag": tag,
-                                "props": pdict if isinstance(pdict, dict) else None,
-                            }
-                        )
-                        continue
-                    self.marked.append((tag, pdict))
-                    continue
-                self.marked.append((tag, props))
-            elif op == "EMC":
-                if self.marked:
-                    entry = self.marked.pop()
-                    if entry is _OC_HIDDEN:
-                        self._oc_hidden -= 1
-                        continue
-                    # scope closed without any show inside: the
-                    # replacement text still IS the scope's content —
-                    # unless an OUTER ActualText scope encloses it, in
-                    # which case the outer replacement swallows it
-                    if isinstance(entry, dict) and not entry["emitted"]:
-                        outer = self._actual_text_scope()
-                        if outer is None:
-                            self._append_span("text", entry["text"], None)
-                        elif not outer["emitted"]:
-                            outer["emitted"] = True
-                            self._append_span("text", outer["text"], None)
-            elif op == "BI":
-                pass  # key/value objects accumulate on the stack until ID
-            elif op == "ID":
-                inline_dict = self._collect_inline_dict()
-            elif op == "EI":
-                pass  # image itself handled via the INLINE token
-            elif op in _STATE_ONLY:
-                arity = _STATE_ONLY[op]
-                if arity >= 0:
-                    self._pop_n(arity)
-                else:
-                    self.stack.clear()  # SC/SCN/sc/scn: variable arity
+    def _op_Tm_positions(self, resources) -> None:
+        f, e, d, c, b, a = (self._pop_number() for _ in range(6))
+        self.ts.tm = (a, b, c, d, e, f)
+        self.ts.tlm = self.ts.tm
+
+    def _op_Tstar_positions(self, resources) -> None:
+        self._next_line()
+
+    def _op_cm_positions(self, resources) -> None:
+        f, e, d, c, b, a = (self._pop_number() for _ in range(6))
+        self.ctm = mat_mul((a, b, c, d, e, f), self.ctm)
+
+    def _op_Tf(self, resources) -> None:
+        size = self._pop_number()
+        name = self._pop_name()
+        self._set_font(name, size, resources)
+
+    def _op_Tr(self, resources) -> None:
+        self.ts.render_mode = int(self._pop_number())
+
+    def _op_Do(self, resources) -> None:
+        self._do_xobject(self._pop_name(), resources)
+
+    def _op_q(self, resources) -> None:
+        self._push_gs()
+
+    def _op_Q(self, resources) -> None:
+        self._restore_gs()
+
+    def _op_BMC(self, resources) -> None:
+        self.marked.append((self._pop_name(), None))
+
+    def _op_MP(self, resources) -> None:
+        self._pop_name()  # point operator: no scope, no EMC
+
+    def _op_DP(self, resources) -> None:
+        self._pop()  # properties
+        self._pop_name()  # point operator: no scope, no EMC
+
+    def _op_BDC(self, resources) -> None:
+        props = value(self._pop())
+        tag = self._pop_name()
+        if self.hidden_ocgs is not None and str(tag) == "OC":
+            from .ocg import oc_is_hidden
+
+            raw = props
+            if isinstance(props, Name):  # /Properties resource name
+                props_res = self.doc.resolve(resources.get("Properties", NULL))
+                raw = (
+                    props_res.get(str(props), NULL)
+                    if isinstance(props_res, dict)
+                    else NULL
+                )
+            if oc_is_hidden(self.doc, raw, self.hidden_ocgs):
+                self.marked.append(_OC_HIDDEN)
+                self._oc_hidden += 1
+                return
+        if self.apply_actual_text or self.collect_mcids:
+            if isinstance(props, Name):  # /Properties resource ref
+                props_res = self.doc.resolve(resources.get("Properties", NULL))
+                pdict = (
+                    self.doc.resolve(props_res.get(str(props), NULL))
+                    if isinstance(props_res, dict)
+                    else NULL
+                )
             else:
-                raise PdfParseError(f"unhandled operator {op!r}")
+                pdict = props
+            at = pdict.get("ActualText") if isinstance(pdict, dict) else None
+            if self.apply_actual_text and isinstance(at, str):
+                self.marked.append(
+                    {
+                        "text": at,
+                        "emitted": False,
+                        "tag": tag,
+                        "props": pdict if isinstance(pdict, dict) else None,
+                    }
+                )
+                return
+            self.marked.append((tag, pdict))
+            return
+        self.marked.append((tag, props))
 
-    def _collect_inline_dict(self) -> list:
+    def _op_EMC(self, resources) -> None:
+        if not self.marked:
+            return
+        entry = self.marked.pop()
+        if entry is _OC_HIDDEN:
+            self._oc_hidden -= 1
+            return
+        # scope closed without any show inside: the replacement text still
+        # IS the scope's content — unless an OUTER ActualText scope encloses
+        # it, in which case the outer replacement swallows it
+        if isinstance(entry, dict) and not entry["emitted"]:
+            outer = self._actual_text_scope()
+            if outer is None:
+                self._append_span("text", entry["text"], None)
+            elif not outer["emitted"]:
+                outer["emitted"] = True
+                self._append_span("text", outer["text"], None)
+
+    def _op_ID(self, resources) -> None:
         """BI pushes key/value objects until ID; they accumulate on the
-        operand stack — drain them here."""
-        d = list(self.stack)
+        operand stack — drain them for the image data that follows."""
+        self._inline_kv = [value(v) for v in self.stack]
         self.stack.clear()
-        return d
 
-    def _emit_inline_image(self, kv: list, data: bytes) -> None:
+    def _op_inline_image(self, resources) -> None:
+        data = self.stack.pop()
+        kv = self._inline_kv
         if len(kv) % 2 != 0:
             raise PdfParseError("odd inline image dict")
         d = {}
@@ -560,16 +593,119 @@ class Interpreter:
         self._emit_image(Stream(d, data))
 
 
-# state-only operators -> operand arity (consume, emit nothing);
-# -1 = variable (clear the stack). src/render/mod.rs:300-1035.
-_STATE_ONLY = {
-    "m": 2, "l": 2, "c": 6, "v": 4, "y": 4, "re": 4, "h": 0,
-    "f": 0, "F": 0, "f*": 0, "B": 0, "B*": 0, "b": 0, "b*": 0,
-    "s": 0, "S": 0, "n": 0, "W": 0, "W*": 0,
-    "w": 1, "J": 1, "j": 1, "M": 1, "d": 2, "i": 1, "ri": 1, "gs": 1,
-    "G": 1, "g": 1, "RG": 3, "rg": 3, "K": 4, "k": 4,
-    "CS": 1, "cs": 1, "SC": -1, "sc": -1, "SCN": -1, "scn": -1,
-    "sh": 1, "d0": 2, "d1": 6, "BX": 0, "EX": 0,
+def _noop(self, resources) -> None:
+    """An operator with no operands, or one whose effect no output reads."""
+
+
+def _clear(self, resources) -> None:
+    """SC/SCN/sc/scn: variable arity, so every operand goes."""
+    self.stack.clear()
+
+
+def _discard(n: int):
+    """An operator that pops ``n`` operands of any type and emits nothing
+    (path, colour and graphics state, src/render/mod.rs:300-1035)."""
+
+    def op(self, resources) -> None:
+        stack = self.stack
+        if len(stack) < n:
+            raise PdfParseError("operand stack underflow")
+        del stack[len(stack) - n :]
+
+    return op
+
+
+def _text_state(attr: str, scale: float = 1.0):
+    """A text-state operator (TL Tc Tw Tz Ts): its number, divided by
+    ``scale``, becomes ``TextState.<attr>``."""
+
+    def op(self, resources) -> None:
+        setattr(self.ts, attr, self._pop_number() / scale)
+
+    return op
+
+
+def _numbers(n: int):
+    """An operator whose ``n`` number operands no output reads: checked as
+    ``_pop_number`` checks them, never converted."""
+
+    def op(self, resources) -> None:
+        self._check_numbers(n)
+
+    return op
+
+
+_I = Interpreter
+# operator -> handler; INLINE is the inline image data after ID
+_OPS = {
+    "Tj": _I._op_Tj,
+    "TJ": _I._op_TJ,
+    "'": _I._op_Tj,  # T* then Tj; T* only moves the matrices
+    '"': _I._op_dquote,
+    "BT": _noop,
+    "ET": _noop,
+    "T*": _noop,
+    "Td": _numbers(2),
+    "TD": _numbers(2),
+    "Tm": _numbers(6),
+    "TL": _numbers(1),
+    "Tc": _numbers(1),
+    "Tw": _numbers(1),
+    "Tz": _numbers(1),
+    "Ts": _numbers(1),
+    "cm": _numbers(6),
+    "Tf": _I._op_Tf,
+    "Tr": _I._op_Tr,
+    "Do": _I._op_Do,
+    "q": _I._op_q,
+    "Q": _I._op_Q,
+    "BMC": _I._op_BMC,
+    "MP": _I._op_MP,
+    "DP": _I._op_DP,
+    "BDC": _I._op_BDC,
+    "EMC": _I._op_EMC,
+    "BI": _noop,  # key/value objects accumulate on the stack until ID
+    "ID": _I._op_ID,
+    INLINE: _I._op_inline_image,
+    "EI": _noop,
+    "BX": _noop,
+    "EX": _noop,
+    "SC": _clear,
+    "sc": _clear,
+    "SCN": _clear,
+    "scn": _clear,
+    **{
+        op: _noop
+        for op in ("h", "f", "F", "f*", "B", "B*", "b", "b*", "s", "S", "n", "W", "W*")
+    },
+    **{
+        op: _discard(n)
+        for op, n in {
+            "m": 2, "l": 2, "c": 6, "v": 4, "y": 4, "re": 4,
+            "w": 1, "J": 1, "j": 1, "M": 1, "d": 2, "i": 1, "ri": 1, "gs": 1,
+            "G": 1, "g": 1, "RG": 3, "rg": 3, "K": 4, "k": 4,
+            "CS": 1, "cs": 1, "sh": 1, "d0": 2, "d1": 6,
+        }.items()
+    },
+}
+# compute_positions: the same table with the matrix-keeping handlers
+_POSITION_OPS = {
+    **_OPS,
+    "Tj": _I._op_Tj_positions,
+    "'": _I._op_quote_positions,
+    '"': _I._op_dquote_positions,
+    "BT": _I._op_BT_positions,
+    "ET": _I._op_BT_positions,
+    "T*": _I._op_Tstar_positions,
+    "Td": _I._op_Td_positions,
+    "TD": _I._op_TD_positions,
+    "Tm": _I._op_Tm_positions,
+    "TL": _text_state("leading"),
+    "Tc": _text_state("char_spacing"),
+    "Tw": _text_state("word_spacing"),
+    "Tz": _text_state("horizontal_scaling", 100.0),
+    "Ts": _text_state("rise"),
+    "cm": _I._op_cm_positions,
 }
 
 

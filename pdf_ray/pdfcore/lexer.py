@@ -6,12 +6,12 @@ a name, ``<<``, ``[``, a plain ``(...)`` string or a keyword) and skips
 what follows it, so ``Lexer.lex_object`` is one ``match`` and a dispatch on
 ``m.lastgroup``. The same patterns frame indirect-object preludes, ObjStm
 header pairs, ``startxref`` and classic xref rows (``xref.py``,
-``document.py``), and the content tokenizer (``content.py``) takes its
-skip and number patterns from here. The forms the regex leaves out —
-``#XX`` names, literal strings with escapes or nested parentheses, hex
-strings, stream framing and malformed input — go through
-``Lexer._lex_rare`` and its helpers below. Nested objects recurse through
-``Lexer.lex_object``.
+``document.py``), and the content scanner (``content.py``) builds its
+statement pattern from the skip, real and name patterns here. The forms
+the regex leaves out — ``#XX`` names, literal strings with escapes or
+nested parentheses, hex strings, stream framing and malformed input — go
+through ``Lexer._lex_rare`` and its helpers below. Nested objects recurse
+through ``Lexer.lex_object``.
 
 Semantics are the reference lexer's, exactly (these define span-text
 parity, see SURVEY.md §7.4.1):
@@ -42,10 +42,10 @@ WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
 
 _WS = rb"\x00\t\n\x0c\r "
 _DELIM = rb"()<>\[\]{}/%"
-# whitespace and %-comments; atomic, so a token that fails to match never
-# backtracks into it
-_SKIP = rb"(?>(?:[" + _WS + rb"]+|%[^\r\n]*)*)"
-_REAL = rb"[+-]?(?:\d+\.\d*|\.\d+)"
+# whitespace and %-comments, as one unrolled run of possessive loops, so a
+# token that fails to match never backtracks into it
+_SKIP = rb"[" + _WS + rb"]*+(?:%[^\r\n]*+[" + _WS + rb"]*+)*+"
+_REAL = rb"[+-]?+(?:\d++\.\d*+|\.\d++)"
 _INT = rb"[+-]?\d+"
 # the `G R` tail of a reference: R must be followed by a byte, and that
 # byte must be whitespace or a delimiter (`12 0 RG` is not a reference)

@@ -47,9 +47,11 @@ def commit_shard(out_dir: str, name: str, table, manifest: dict) -> dict:
 
 
 def read_manifests(out_dir: str) -> list[dict]:
-    """Every committed manifest. Raises ``ValueError`` for a manifest
-    whose part file is missing (deleted or never copied with the
-    directory)."""
+    """Every committed manifest, without its ``doc_ids`` list: each list
+    is dropped as its manifest is read, so the driver holds at most one
+    (``resume_remaining`` reads them as a Dataset). Raises ``ValueError``
+    for a manifest whose part file is missing (deleted or never copied
+    with the directory)."""
     mdir = manifest_dir(out_dir)
     out = []
     if os.path.isdir(mdir):
@@ -57,6 +59,7 @@ def read_manifests(out_dir: str) -> list[dict]:
             if name.endswith(".json"):
                 with open(os.path.join(mdir, name)) as f:
                     m = json.load(f)
+                m.pop("doc_ids", None)
                 if not os.path.exists(os.path.join(out_dir, m["file"])):
                     raise ValueError(
                         f"manifest {os.path.join(mdir, name)} commits "

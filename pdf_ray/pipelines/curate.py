@@ -5,12 +5,13 @@ re-writes only the missing shards, never the whole output).
 
 Every shard is committed through ``pipelines/commit.py``, the protocol
 the extract writer shares: ``part-SSSS.parquet`` plus its manifest
-``{shard, n_shards, n_rows, n_keep, file}``, where ``SSSS`` is the shard
-id ``doc_id %% n_shards``. The key is deterministic, so a resume
-recomputes exactly the uncommitted shards' rows; it garbage-collects
-orphan shards first, and a resume with a different ``n_shards`` (or a
-manifest without one) is refused, since the committed shard ids would
-name other doc sets.
+``{shard, n_shards, schema_version, n_rows, n_keep, file}``, where
+``SSSS`` is the shard id ``doc_id %% n_shards``. The key is
+deterministic, so a resume recomputes exactly the uncommitted shards'
+rows; it garbage-collects orphan shards first, and a resume with a
+different ``n_shards`` (the committed shard ids would name other doc
+sets) or ``CURATED_SCHEMA_VERSION`` (or a manifest without either) is
+refused.
 
 The filter decisions come from ``ops.textstats.curate_corpus`` (keep /
 first-failing-reason per doc); this module only adds the exactly-once
@@ -34,6 +35,9 @@ from .commit import (
 )
 
 N_CURATE_SHARDS = 64
+# Version of the curated shards' columns (``curate_corpus``'s output),
+# recorded in every manifest; bump it with any change to them.
+CURATED_SCHEMA_VERSION = 1
 
 
 def write_curated(
@@ -48,10 +52,11 @@ def write_curated(
     from ..ops.textstats import curate_corpus
 
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
+    identity = {"n_shards": n_shards, "schema_version": CURATED_SCHEMA_VERSION}
     done: set[int] = set()
     if resume:
         gc_orphan_shards(out_dir)
-        manifests = resume_manifests(out_dir, {"n_shards": n_shards})
+        manifests = resume_manifests(out_dir, identity)
         done = {int(m["shard"]) for m in manifests}
 
     ds = curate_corpus(sf_dir)
@@ -71,7 +76,7 @@ def write_curated(
             pa.Table.from_pandas(g, preserve_index=False),
             {
                 "shard": shard,
-                "n_shards": n_shards,
+                **identity,
                 "n_rows": int(len(g)),
                 "n_keep": int(g["keep"].sum()),
             },

@@ -32,6 +32,7 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..schema import EXTRACTED_SCHEMA_VERSION
 from ..stages.extract import ExtractStage, doc_bucket
 from .commit import (
     commit_shard,
@@ -205,7 +206,8 @@ class ExtractWriteStage:
         # recorded in every manifest so a resume under different flags is
         # REFUSED instead of silently mixing differently-extracted docs
         self.identity = {
-            "flags": {"strip_artifacts": bool(kw.get("strip_artifacts", False))}
+            "flags": {"strip_artifacts": bool(kw.get("strip_artifacts", False))},
+            "schema_version": EXTRACTED_SCHEMA_VERSION,
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -255,8 +257,9 @@ def run_extract(
 
     Each task commits its shard through ``pipelines/commit.py``: a
     ``part-<hash>.parquet`` plus a manifest ``{doc_ids, n_ok, n_err, flags,
-    file}``, the commit record. Resume garbage-collects orphan shards,
-    refuses manifests written under other ``flags`` and re-extracts every
+    schema_version, file}``, the commit record. Resume garbage-collects
+    orphan shards, refuses manifests written under other ``flags`` or
+    another ``EXTRACTED_SCHEMA_VERSION`` and re-extracts every
     doc no manifest lists; consumers read committed output via
     ``read_extracted`` (manifest-listed files only), which together give
     exactly-once output semantics.

@@ -29,6 +29,11 @@ OUT_SPAN = pa.struct(
     ]
 )
 
+# Version of EXTRACTED, recorded in every extract manifest: a resume into
+# shards written under another version is refused. Bump it with any change
+# to EXTRACTED (tests/test_pipeline.py pins the schema to it).
+EXTRACTED_SCHEMA_VERSION = 1
+
 EXTRACTED = pa.schema(
     [
         ("doc_id", pa.string()),

@@ -27,6 +27,21 @@ def _manifest_doc_ids(out_dir):
     return done
 
 
+def _set_manifest_key(out_dir, key, value):
+    """Rewrite one committed manifest with ``key`` set to ``value``;
+    returns the value it had."""
+    import glob
+    import json
+
+    path = sorted(glob.glob(f"{out_dir}/_lineage/*.json"))[0]
+    with open(path) as f:
+        m = json.load(f)
+    old, m[key] = m[key], value
+    with open(path, "w") as f:
+        json.dump(m, f)
+    return old
+
+
 def _drop_manifest_key(out_dir, key):
     """Rewrite one committed manifest without ``key``."""
     import glob
@@ -211,6 +226,11 @@ def test_resume_refuses_flag_mismatch(ray_session, corpus, tmp_path):
         run_extract(
             in_path, out_dir, pref, concurrency=2, strip_artifacts=True
         )
+    # shards written under another EXTRACTED version are refused
+    version = _set_manifest_key(out_dir, "schema_version", 0)
+    with pytest.raises(ValueError, match="resume refused"):
+        run_extract(in_path, out_dir, pref, concurrency=2)
+    _set_manifest_key(out_dir, "schema_version", version)
     # a manifest without its flags is a mismatch too, even for the
     # default flags (no legacy default is assumed)
     _drop_manifest_key(out_dir, "flags")
@@ -308,6 +328,11 @@ def test_partial_resume(ray_session, corpus, tmp_path):
     assert s1["n_ok"] + s1["n_err"] == half.num_rows
     s2 = run_extract(full_path, out_dir, pref, concurrency=2)
     assert s2["skipped"] == half.num_rows
+    # the driver-side manifests carry counters, not the doc_ids lists
+    from pdf_ray.pipelines.commit import read_manifests
+
+    manifests = read_manifests(out_dir)
+    assert manifests and not any("doc_ids" in m for m in manifests)
     assert s1["n_ok"] + s1["n_err"] + s2["n_ok"] + s2["n_err"] == docs.num_rows
     assert _manifest_doc_ids(out_dir) == set(docs.column("doc_id").to_pylist())
     total = sum(
@@ -566,7 +591,24 @@ def test_write_curated_refuses_n_shards_mismatch(ray_session, tmp_path):
     write_curated(sf, out, n_shards=8)
     with pytest.raises(ValueError, match="resume refused"):
         write_curated(sf, out, n_shards=4)
+    version = _set_manifest_key(out, "schema_version", 0)
+    with pytest.raises(ValueError, match="resume refused"):
+        write_curated(sf, out, n_shards=8)
+    _set_manifest_key(out, "schema_version", version)
     _drop_manifest_key(out, "n_shards")
     with pytest.raises(ValueError, match="resume refused"):
         write_curated(sf, out, n_shards=8)
 
+
+def test_extracted_schema_is_pinned_to_its_version():
+    """A change to EXTRACTED must come with a new
+    EXTRACTED_SCHEMA_VERSION, or a resume would mix shards of both
+    schemas. On a deliberate change, bump the version and pin the new
+    fingerprint here."""
+    import hashlib
+
+    from pdf_ray.schema import EXTRACTED, EXTRACTED_SCHEMA_VERSION
+
+    fields = repr([(f.name, str(f.type), f.nullable) for f in EXTRACTED])
+    fingerprint = hashlib.sha256(fields.encode()).hexdigest()[:16]
+    assert (EXTRACTED_SCHEMA_VERSION, fingerprint) == (1, "3cc63c381958d307")
