@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from .registry import register
 
@@ -1019,11 +1020,13 @@ def curate_corpus(sf_dir: str, n: int = DECON_N):
              "perplexity"],
             default="keep",
         )
-        return pd.DataFrame(
+        # an Arrow block: Ray cannot size an empty pandas object column
+        # (it logs "Error calculating size for column 'reason'")
+        return pa.table(
             {
-                "doc_id": g["doc_id"].astype("int64"),
-                "keep": (reason == "keep").astype("int64"),
-                "reason": reason,
+                "doc_id": g["doc_id"].to_numpy(np.int64),
+                "keep": (reason == "keep").astype(np.int64),
+                "reason": pa.array(reason, pa.string()),
             }
         )
 

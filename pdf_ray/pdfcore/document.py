@@ -12,13 +12,14 @@ PDF byte payload in, parsed pages out. No cross-row state.
 from __future__ import annotations
 
 from .filters import decode_stream
-from .lexer import NUMBER_PAIR, Lexer, parse_whole
+from .lexer import NUMBER_PAIR, Lexer, lex_indirect, parse_whole
 from .objects import NULL, Name, PdfParseError, Ref, Stream
 from .xref import Compressed, InUse, read_full_xref
 
 _CACHE_MISS = object()  # resolve()-cache sentinel (NULL/None are valid values)
 
 _INHERITABLE = ("Resources", "MediaBox", "CropBox", "Rotate")
+_PAGE = Name("Page")
 
 
 class Page:
@@ -43,7 +44,7 @@ class Document:
         self.buf = buf
         self.security = None
         self._encrypt_num = None
-        self._obj_cache: dict[tuple[int, int], object] = {}
+        self._obj_cache: dict[Ref, object] = {}
         self._scavenged = False
         try:
             self.xref, self.trailer = read_full_xref(buf)
@@ -100,39 +101,35 @@ class Document:
     def resolve(self, obj):
         """Chase indirect references until a direct object; a dangling
         reference resolves to NULL (src/lib.rs:405). Resolved objects are
-        cached per (num, gen) for the document's lifetime — shared nodes
+        cached by their ``Ref`` for the document's lifetime — shared nodes
         (a page tree's common /Resources, fonts referenced by every page)
         would otherwise re-lex from the buffer once per referrer. Parsed
         objects are treated as immutable throughout the engine (unlike
         the reference's destructive dict accessors, src/objects.rs:82)."""
+        if type(obj) is not Ref:
+            return obj
         seen = 0
         cache = self._obj_cache
-        while isinstance(obj, Ref):
-            seen_ref = obj
-            key = (obj.num, obj.gen)
-            hit = cache.get(key, _CACHE_MISS)
-            if hit is not _CACHE_MISS:
-                obj = hit
-                seen += 1
-                if seen > 32:
-                    raise PdfParseError("reference chain too deep")
-                continue
-            entry = self.xref.get(obj)
-            if entry is None:
-                return NULL
-            if isinstance(entry, InUse):
-                obj = self._lex_at(entry.offset)
-                # strings/streams of encrypted documents are decrypted with
-                # the per-object key; ObjStm members are covered by their
-                # container stream's decryption (PDF 32000-1 §7.6.2)
-                if self.security is not None and obj is not None:
-                    if self._encrypt_num != seen_ref.num:
-                        obj = self.security.decrypt_object(obj, seen_ref)
-            elif isinstance(entry, Compressed):
-                obj = self._lex_from_objstm(entry)
-            else:
-                return NULL
-            cache[key] = obj
+        while type(obj) is Ref:
+            ref = obj
+            obj = cache.get(ref, _CACHE_MISS)
+            if obj is _CACHE_MISS:
+                entry = self.xref.get(ref)
+                if entry is None:
+                    return NULL
+                if isinstance(entry, InUse):
+                    obj = lex_indirect(self.buf, entry.offset, self._resolve_length)
+                    # strings/streams of encrypted documents are decrypted
+                    # with the per-object key; ObjStm members are covered by
+                    # their container stream's decryption (PDF 32000-1 §7.6.2)
+                    if self.security is not None and obj is not None:
+                        if self._encrypt_num != ref.num:
+                            obj = self.security.decrypt_object(obj, ref)
+                elif isinstance(entry, Compressed):
+                    obj = self._lex_from_objstm(entry)
+                else:
+                    return NULL
+                cache[ref] = obj
             seen += 1
             if seen > 32:
                 raise PdfParseError("reference chain too deep")
@@ -154,12 +151,6 @@ class Document:
 
     def decoded(self, stream: Stream) -> bytes:
         return decode_stream(stream, resolve=self.resolve)
-
-    def _lex_at(self, offset: int):
-        lx = Lexer(self.buf, resolve=self._resolve_length)
-        lx.pos = offset
-        lx.read_obj_prelude()
-        return lx.lex_object()
 
     def _resolve_length(self, ref: Ref) -> int:
         v = self.resolve(ref)
@@ -205,27 +196,30 @@ class Document:
     # -- page tree (src/lib.rs:211-393) -------------------------------------
 
     def _walk_page_tree(self, node_ref, inherited: dict, visiting: set):
-        key = node_ref if isinstance(node_ref, Ref) else None
-        if key is not None:
-            if key in visiting:
-                raise PdfParseError("page tree cycle")
-            visiting = visiting | {key}
+        """Append the pages under ``node_ref``. ``inherited`` holds the
+        inheritable fields of its ancestors and ``visiting`` their refs;
+        only an interior node copies and extends them."""
+        if type(node_ref) is Ref and node_ref in visiting:
+            raise PdfParseError("page tree cycle")
         node = self.resolve_dict(node_ref)
+        ntype = self.resolve(node.get("Type", NULL))
+        if ntype == _PAGE or ("Kids" not in node and "Contents" in node):
+            get = node.get
+            self.pages.append(
+                Page(
+                    node,
+                    self.resolve(get("Resources", inherited.get("Resources", NULL))),
+                    self.resolve(get("MediaBox", inherited.get("MediaBox", NULL))),
+                    self.resolve(get("Rotate", inherited.get("Rotate", 0))),
+                )
+            )
+            return
         fields = dict(inherited)
         for f in _INHERITABLE:
             if f in node:
                 fields[f] = node[f]
-        ntype = self.resolve(node.get("Type", NULL))
-        if ntype == Name("Page") or ("Kids" not in node and "Contents" in node):
-            self.pages.append(
-                Page(
-                    node,
-                    self.resolve(fields.get("Resources", NULL)),
-                    self.resolve(fields.get("MediaBox", NULL)),
-                    self.resolve(fields.get("Rotate", 0)),
-                )
-            )
-            return
+        if type(node_ref) is Ref:
+            visiting = visiting | {node_ref}
         kids = self.resolve(node.get("Kids"))
         if not isinstance(kids, list):
             raise PdfParseError("page tree node has no /Kids")
@@ -241,6 +235,8 @@ class Document:
         contents = self.resolve(page.dict.get("Contents", NULL))
         if contents is NULL:
             return b""
+        if type(contents) is Stream:  # one stream: no list, no concat
+            return bytes(self.decoded(contents))
         streams = contents if isinstance(contents, list) else [contents]
         parts = []
         for s in streams:

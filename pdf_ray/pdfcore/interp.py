@@ -158,6 +158,10 @@ class Interpreter:
         self._cur_base_font: str | None = None
         self._page_idx = -1
         self.images: dict[str, bytes] = {}
+        # media ref of each image XObject drawn so far, by its stream: the
+        # document caches resolved objects, so an image drawn on many
+        # pages is decoded once
+        self._image_refs: dict[Stream, str] = {}
         self._font_widths = None  # lazy per-Tf width lookup
         self._font_info = None  # FontInfo for unicode enrichment
         self._inline_kv: list = []  # inline image dict entries, set by ID
@@ -369,18 +373,23 @@ class Interpreter:
                 return  # XObject belongs to a hidden optional-content group
         subtype = self.doc.resolve(xo.dict.get("Subtype", NULL))
         if subtype == Name("Image"):
-            self._emit_image(xo)
+            ref = self._image_refs.get(xo)
+            if ref is None:
+                ref = self._image_refs[xo] = self._decode_image(xo)
+            self._append_span("image", None, ref)
         elif subtype == Name("Form"):
             self._run_form(xo, resources)
         else:
             raise PdfParseError(f"unsupported xobject subtype {subtype!r}")
 
-    def _emit_image(self, stream: Stream) -> None:
+    def _decode_image(self, stream: Stream) -> str:
+        """Decode an image to its media ref, keeping its PNG in
+        ``images`` when ``collect_images`` is on."""
         w, h, rgb = decode_image_pixels(stream, self.doc.resolve)
         ref = media_ref_for_pixels(w, h, rgb)
         if self.collect_images and ref not in self.images:
             self.images[ref] = encode_png(w, h, rgb)
-        self._append_span("image", None, ref)
+        return ref
 
     def _run_form(self, form: Stream, outer_resources: dict) -> None:
         """src/render/mod.rs:178-202: push gs, apply form Matrix, swap
@@ -590,7 +599,7 @@ class Interpreter:
         d = {}
         for i in range(0, len(kv), 2):
             d[str(kv[i])] = kv[i + 1]
-        self._emit_image(Stream(d, data))
+        self._append_span("image", None, self._decode_image(Stream(d, data)))
 
 
 def _noop(self, resources) -> None:

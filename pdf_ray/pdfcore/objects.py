@@ -18,7 +18,7 @@ per-row parser UDFs stay allocation-light:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class _Null:
@@ -51,9 +51,12 @@ class Name(str):
         return f"/{str.__str__(self)}"
 
 
-@dataclass(frozen=True)
-class Ref:
-    """Indirect reference ``<num> <gen> R`` (src/objects.rs:54-58)."""
+class Ref(NamedTuple):
+    """Indirect reference ``<num> <gen> R`` (src/objects.rs:54-58).
+
+    A tuple, so hashing and equality run in C: ``Document`` keys its
+    object cache by the reference itself. No PDF value is a tuple, so a
+    ``Ref`` equals only a ``Ref`` of the same numbers."""
 
     num: int
     gen: int

@@ -14,26 +14,36 @@ Reference behaviors mirrored:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .filters import decode_stream
-from .lexer import NUMBER_PAIR, SKIP, STARTXREF_OFFSET, XREF_ROW, Lexer, parse_whole
+from .lexer import (
+    NUMBER_PAIR,
+    SKIP,
+    STARTXREF_OFFSET,
+    XREF_ROW,
+    XREF_ROW_FIELDS,
+    XREF_ROWS,
+    Lexer,
+    parse_whole,
+)
 from .objects import PdfParseError, Ref, Stream
 
 
-@dataclass(frozen=True)
-class InUse:
+class InUse(NamedTuple):
     offset: int
     gen: int = 0
 
 
-@dataclass(frozen=True)
-class Compressed:
+class Compressed(NamedTuple):
     objstm_num: int  # object number of the containing ObjStm
     index: int       # index of the object within the ObjStm
 
 
 FREE = "free"
+# InUse from an (offset, gen) tuple, without NamedTuple's Python-level __new__
+_new_in_use = partial(tuple.__new__, InUse)
 
 
 class Xref:
@@ -89,8 +99,10 @@ def parse_xref_at(buf: bytes, offset: int, resolve=None):
 
 
 def _parse_classic_table(buf: bytes, pos: int):
-    """Subsections from ``pos`` (after ``xref``) up to ``trailer``, one
-    ``XREF_ROW`` match per entry, then the trailer dict."""
+    """Subsections from ``pos`` (after ``xref``) up to ``trailer``, then
+    the trailer dict. A subsection of standard 20-byte rows is framed by
+    one ``XREF_ROWS`` match and read by one ``findall``; any other goes
+    through one ``XREF_ROW`` match per row."""
     objects: dict = {}
     row = XREF_ROW.match
     pos = SKIP.match(buf, pos).end()
@@ -103,6 +115,13 @@ def _parse_classic_table(buf: bytes, pos: int):
             raise PdfParseError("bad xref subsection count")
         pos = m.end()
         first = int(start)
+        end = pos + 20 * int(count)
+        if end <= len(buf) and XREF_ROWS.match(buf, pos, end).end() == end:
+            for num, (off, gen, kind) in enumerate(XREF_ROW_FIELDS.findall(buf, pos, end), first):
+                if num not in objects:
+                    objects[num] = _new_in_use((int(off), int(gen))) if kind == b"n" else FREE
+            pos = SKIP.match(buf, end).end()
+            continue
         for num in range(first, first + int(count)):
             m = row(buf, pos)
             off, gen, kind = m.groups()

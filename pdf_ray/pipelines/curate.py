@@ -38,6 +38,10 @@ N_CURATE_SHARDS = 64
 # Version of the curated shards' columns (``curate_corpus``'s output),
 # recorded in every manifest; bump it with any change to them.
 CURATED_SCHEMA_VERSION = 1
+# curate_corpus's rows with their shard id, as add_shard emits them
+_SHARDED = pa.schema(
+    [("doc_id", pa.int64()), ("keep", pa.int64()), ("reason", pa.string()), ("shard", pa.int32())]
+)
 
 
 def write_curated(
@@ -61,11 +65,13 @@ def write_curated(
 
     ds = curate_corpus(sf_dir)
 
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
+    def add_shard(df: pd.DataFrame) -> pa.Table:
         df = df.assign(shard=(df["doc_id"] % n_shards).astype("int32"))
         if done:
             df = df[~df["shard"].isin(done)]
-        return df
+        # an Arrow block: Ray cannot size an empty pandas object column
+        # (it logs "Error calculating size for column 'reason'")
+        return pa.Table.from_pandas(df, schema=_SHARDED, preserve_index=False)
 
     def write_shard(g: pd.DataFrame) -> pd.DataFrame:
         shard = int(g["shard"].iat[0])

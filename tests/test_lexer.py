@@ -105,3 +105,67 @@ def test_bad_object_start():
 
     with pytest.raises(PdfParseError):
         lex(b"}")
+
+
+def test_ref_is_hashable_and_equals_only_refs():
+    r = Ref(12, 0)
+    assert repr(r) == "Ref(num=12, gen=0)" and (r.num, r.gen) == (12, 0)
+    assert r == Ref(12, 0) and hash(r) == hash(Ref(12, 0)) and r != Ref(12, 1)
+    assert {r: 1}[lex(b"12 0 R ")] == 1
+    for other in (12, 12.0, "12 0 R", Name("R"), [12, 0], {"num": 12}, NULL, None, True):
+        assert r != other and other != r
+
+
+# -- nesting depth ---------------------------------------------------------------
+
+NESTINGS = {
+    "arrays": (b"[", b"]"),
+    "dicts": (b"<< /K ", b" >>"),
+    "mixed": (b"[ << /K ", b" >> ]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_up_to_max_depth_parses(kind):
+    from pdf_ray.pdfcore.lexer import MAX_DEPTH, lex_indirect
+
+    open_, close = NESTINGS[kind]
+    levels = MAX_DEPTH // (2 if kind == "mixed" else 1)
+    buf = open_ * levels + b"1" + close * levels
+    v = lex(buf)
+    for _ in range(levels):
+        v = v[0] if isinstance(v, list) else v["K"]
+        if kind == "mixed":
+            v = v["K"]
+    assert v == 1
+    if kind == "dicts":
+        assert lex_indirect(b"1 0 obj " + buf, 0) == lex(buf)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+@pytest.mark.parametrize("levels", ["max + 1", "10^5"])
+def test_nesting_past_max_depth_fails_at_a_fixed_depth(kind, levels):
+    """Objects nested past ``MAX_DEPTH`` raise PdfParseError, whatever
+    the depth of the caller's stack, in objects and content streams."""
+    from pdf_ray.pdfcore.content import tokenize
+    from pdf_ray.pdfcore.lexer import MAX_DEPTH, lex_indirect
+    from pdf_ray.pdfcore.objects import PdfParseError
+
+    open_, close = NESTINGS[kind]
+    n = 10**5 if levels == "10^5" else MAX_DEPTH + 1
+    if kind == "mixed":
+        n = (n + 1) // 2
+    buf = open_ * n + b"1" + close * n
+    message = f"objects nested deeper than {MAX_DEPTH} levels"
+
+    def deep(k, fn):
+        return deep(k - 1, fn) if k else fn()
+
+    for run in (
+        lambda: lex(buf),
+        lambda: lex_indirect(b"1 0 obj " + buf, 0),
+        lambda: list(tokenize(buf + b" TJ")),
+        lambda: deep(500, lambda: lex(buf)),
+    ):
+        with pytest.raises(PdfParseError, match=message):
+            run()

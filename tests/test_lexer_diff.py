@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pdf_ray.pdfcore import content, xref
 from pdf_ray.pdfcore.document import Document
-from pdf_ray.pdfcore.lexer import Lexer
+from pdf_ray.pdfcore.lexer import Lexer, lex_indirect
 from pdf_ray.pdfcore.objects import NULL, Name, PdfParseError, Ref, Stream
 
 from . import reference_lexer as ref
@@ -31,9 +31,9 @@ def typed(v):
     if isinstance(v, list):
         return ("list", tuple(typed(x) for x in v))
     if isinstance(v, xref.Xref):
-        return ("Xref", tuple(sorted(v.objects.items())))
-    if isinstance(v, tuple):
-        return ("tuple", tuple(typed(x) for x in v))
+        return ("Xref", tuple((n, typed(e)) for n, e in sorted(v.objects.items())))
+    if isinstance(v, tuple):  # a Ref, InUse or Compressed keeps its name
+        return (type(v).__name__, tuple(typed(x) for x in v))
     return (type(v).__name__, repr(v) if isinstance(v, float) else v)
 
 
@@ -249,6 +249,42 @@ def test_obj_preludes_of_token_soups_match_reference(buf):
     buf = b"7 0 obj " + buf
     for pos in (0, 1, 2):
         assert lex_at(Lexer, buf, pos, prelude=True) == lex_at(ref.Lexer, buf, pos, prelude=True)
+
+
+@given(soups)
+@settings(max_examples=300, deadline=None)
+def test_indirect_objects_of_token_soups_match_reference(buf):
+    """``lex_indirect`` reads what ``read_obj_prelude`` and ``lex_object``
+    of the per-byte lexer read, dictionaries above all."""
+    for prefix in (b"7 0 obj ", b"7 0 obj << /Type /Page ", b"7 0 obj <<\n/K [1 2] /D << /A 1 0 R "):
+        want = lex_at(ref.Lexer, prefix + buf, 0, prelude=True)
+        want = want[:1] + (want[1][1][0],) if want[0] == "ok" else want
+        assert outcome(lambda: lex_indirect(prefix + buf, 0)) == want, prefix
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        b"7 0 obj << /Length -1 >>\nstream\nendstream",
+        b"7 0 obj << /Length 0 >>\nstream\r\nendstream",
+        b"7 0 obj << /Length 2 >>\nstream\rabendstream",
+        b"7 0 obj << /Length true >>\nstream\na endstream",
+        b"7 0 obj << /Length 9 >>\nstream\nab",
+        b"7 0 obj << /Length 2 >>streamx",
+        b"7 0 obj << /K << /Length 3 >>\nstream\nabc\nendstream /L 1 >>",
+        b"7 0 obj << /K << /Length 3 >> %c\nstream\nabc\nendstream >>",
+        b"7 0 obj << /K << /L << /M [1 2 R] >> >> /N [/a (b) 1.5 true] >>",
+        b"7 0 obj << /K << /L << /M [1 [2]] >> >> >>",
+        b"7 0 obj << /K [1 %c\n 2 0 R %d\n/X] >>",
+        b"7 0 obj << /K 1 0 R>>",
+        b"7 0 obj << /K 1 0 R",
+        b"7 0 obj << /K << /L 1 >",
+    ],
+)
+def test_indirect_object_quirks(obj):
+    want = lex_at(ref.Lexer, obj, 0, prelude=True)
+    want = want[:1] + (want[1][1][0],) if want[0] == "ok" else want
+    assert outcome(lambda: lex_indirect(obj, 0)) == want
 
 
 XREF_FRAGMENTS = [
