@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pdfcore.jbig2 import GB_AT_NOMINAL, GB_TEMPLATES, QE, TPGD_CTX
+from ..pdfcore.jbig2 import GB_AT_NOMINAL, GB_TEMPLATES, TPGD_CTX
+from ..pdfcore.mq import QE
 
 
 class MQEncoder:

@@ -23,21 +23,41 @@ import struct
 import numpy as np
 
 from ..pdfcore.jpx import (
-    _CTX_MR0,
-    _CTX_RL,
-    _CTX_UNI,
-    _N_CTX,
-    _SC_TABLE,
-    _ZC_TABLES,
+    _build_zc_tables,
     _Cod,
+    _pass_type,
     _Qcd,
     _Resolution,
     _ceil_div,
-    _is_raw,
     _reflect,
     _seg_end,
 )
 from .jbig2enc import MQEncoder
+
+# -- tier-1 contexts (T.800 Annex D): 9 ZC, 5 SC, 3 MR, RL, UNIFORM ----------
+_CTX_SC0 = 9
+_CTX_MR0 = 14
+_CTX_RL = 17
+_CTX_UNI = 18
+_N_CTX = 19
+_ZC_TABLES = _build_zc_tables()
+# Sign-coding (Tables D.2/D.3): index (hc+1)*3 + (vc+1) -> (ctx, xorbit)
+_SC_TABLE = [
+    (_CTX_SC0 + 4, 1),  # hc=-1 vc=-1
+    (_CTX_SC0 + 3, 1),  # hc=-1 vc=0
+    (_CTX_SC0 + 2, 1),  # hc=-1 vc=1
+    (_CTX_SC0 + 1, 1),  # hc=0  vc=-1
+    (_CTX_SC0 + 0, 0),  # hc=0  vc=0
+    (_CTX_SC0 + 1, 0),  # hc=0  vc=1
+    (_CTX_SC0 + 2, 0),  # hc=1  vc=-1
+    (_CTX_SC0 + 3, 0),  # hc=1  vc=0
+    (_CTX_SC0 + 4, 0),  # hc=1  vc=1
+]
+
+
+def _is_raw(t: int, cbstyle: int) -> bool:
+    """Raw (bypass) passes: SPP/MRP from the 11th coding pass on."""
+    return bool(cbstyle & 0x01) and t >= 10 and _pass_type(t) != 2
 
 
 class _RawWriter:

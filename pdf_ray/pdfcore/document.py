@@ -45,6 +45,7 @@ class Document:
         self.security = None
         self._encrypt_num = None
         self._obj_cache: dict[Ref, object] = {}
+        self._resolving: set[Ref] = set()  # refs being read, for cycles
         self._scavenged = False
         try:
             self.xref, self.trailer = read_full_xref(buf)
@@ -105,7 +106,9 @@ class Document:
         (a page tree's common /Resources, fonts referenced by every page)
         would otherwise re-lex from the buffer once per referrer. Parsed
         objects are treated as immutable throughout the engine (unlike
-        the reference's destructive dict accessors, src/objects.rs:82)."""
+        the reference's destructive dict accessors, src/objects.rs:82).
+        Reading an object that needs itself first (a stream whose
+        indirect /Length leads back to it) raises PdfParseError."""
         if type(obj) is not Ref:
             return obj
         seen = 0
@@ -117,18 +120,24 @@ class Document:
                 entry = self.xref.get(ref)
                 if entry is None:
                     return NULL
-                if isinstance(entry, InUse):
-                    obj = lex_indirect(self.buf, entry.offset, self._resolve_length)
-                    # strings/streams of encrypted documents are decrypted
-                    # with the per-object key; ObjStm members are covered by
-                    # their container stream's decryption (PDF 32000-1 §7.6.2)
-                    if self.security is not None and obj is not None:
-                        if self._encrypt_num != ref.num:
-                            obj = self.security.decrypt_object(obj, ref)
-                elif isinstance(entry, Compressed):
-                    obj = self._lex_from_objstm(entry)
-                else:
-                    return NULL
+                if ref in self._resolving:
+                    raise PdfParseError("indirect reference cycle while reading an object")
+                self._resolving.add(ref)
+                try:
+                    if isinstance(entry, InUse):
+                        obj = lex_indirect(self.buf, entry.offset, self._resolve_length)
+                        # strings/streams of encrypted documents are decrypted
+                        # with the per-object key; ObjStm members are covered by
+                        # their container stream's decryption (PDF 32000-1 §7.6.2)
+                        if self.security is not None and obj is not None:
+                            if self._encrypt_num != ref.num:
+                                obj = self.security.decrypt_object(obj, ref)
+                    elif isinstance(entry, Compressed):
+                        obj = self._lex_from_objstm(entry)
+                    else:
+                        return NULL
+                finally:
+                    self._resolving.discard(ref)
                 cache[ref] = obj
             seen += 1
             if seen > 32:

@@ -27,12 +27,20 @@ import zlib
 from .objects import NULL, PdfParseError, Stream
 
 
+# Widest predicted row, in bytes: /Columns comes from the file, so it is
+# checked before the row buffer is allocated (16 MiB is a 4M-pixel-wide
+# RGBA row).
+MAX_PREDICTOR_ROW = 1 << 24
+
+
 def _png_predict(data: bytes, colors: int, bpc: int, columns: int) -> bytes:
     """Undo PNG row filters. Each row is prefixed by a filter-type byte
     (0=None 1=Sub 2=Up 3=Average 4=Paeth); predictors 10-15 in the PDF
     dict all mean "PNG, per-row tag" (PNG spec §9 / PDF 32000-1 §7.4.4.4)."""
     bpp = max(1, (colors * bpc + 7) // 8)
     rowlen = (colors * bpc * columns + 7) // 8
+    if rowlen > MAX_PREDICTOR_ROW:
+        raise PdfParseError("PNG predictor row too wide")
     stride = rowlen + 1
     out = bytearray()
     prev = bytearray(rowlen)

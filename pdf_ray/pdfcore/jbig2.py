@@ -37,10 +37,14 @@ text region over the dictionary pool, 6.5.8.2.2, contexts retained
 across aggregates); only SDHUFF+SDREFAGG raises PdfParseError
 (row-level error downstream, the documented containment model).
 
-The MQ-coder state table is transcribed from T.88 Table E.1 (the same
-public table reproduced in every JBIG2/JPEG2000 implementation); it is
-validated by the encoder/decoder roundtrip suite in tests/test_jbig2.py
-plus structural checks, and the MMR=1 path is pixel-golden against the
+The MQ decoder (T.88 Annex E, state table E.1) and the generic-region
+pixel loop run in the compiled kernel (mq.c, loaded by mq.py); this
+module keeps the segment parsing, the integer/symbol-ID procedures,
+refinement regions and composition, which decode bit by bit through the
+kernel's per-bit entry on the same decoder state. The coder is validated
+by the encoder/decoder roundtrip suite in tests/test_jbig2.py plus
+structural checks, and against the frozen pure-Python decoder by
+tests/test_mq_diff.py; the MMR=1 path is pixel-golden against the
 independently-tested CCITT decoder.
 
 Output convention: JBIG2's 1 = black is mapped to packed 1-bit
@@ -52,102 +56,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mq import MQDecoder, ffi, lib, new_stats
 from .objects import PdfParseError
-
-# T.88 Table E.1: (Qe, NMPS, NLPS, SWITCH)
-QE = [
-    (0x5601, 1, 1, 1), (0x3401, 2, 6, 0), (0x1801, 3, 9, 0),
-    (0x0AC1, 4, 12, 0), (0x0521, 5, 29, 0), (0x0221, 38, 33, 0),
-    (0x5601, 7, 6, 1), (0x5401, 8, 14, 0), (0x4801, 9, 14, 0),
-    (0x3801, 10, 14, 0), (0x3001, 11, 17, 0), (0x2401, 12, 18, 0),
-    (0x1C01, 13, 20, 0), (0x1601, 29, 21, 0), (0x5601, 15, 14, 1),
-    (0x5401, 16, 14, 0), (0x5101, 17, 15, 0), (0x4801, 18, 16, 0),
-    (0x3801, 19, 17, 0), (0x3401, 20, 18, 0), (0x3001, 21, 19, 0),
-    (0x2801, 22, 19, 0), (0x2401, 23, 20, 0), (0x2201, 24, 21, 0),
-    (0x1C01, 25, 22, 0), (0x1801, 26, 23, 0), (0x1601, 27, 24, 0),
-    (0x1401, 28, 25, 0), (0x1201, 29, 26, 0), (0x1101, 30, 27, 0),
-    (0x0AC1, 31, 28, 0), (0x09C1, 32, 29, 0), (0x08A1, 33, 30, 0),
-    (0x0521, 34, 31, 0), (0x0441, 35, 32, 0), (0x02A1, 36, 33, 0),
-    (0x0221, 37, 34, 0), (0x0141, 38, 35, 0), (0x0111, 39, 36, 0),
-    (0x0085, 40, 37, 0), (0x0049, 41, 38, 0), (0x0025, 42, 39, 0),
-    (0x0015, 43, 40, 0), (0x0009, 44, 41, 0), (0x0005, 45, 42, 0),
-    (0x0001, 45, 43, 0), (0x5601, 46, 46, 0),
-]
-
-
-class MQDecoder:
-    """T.88 Annex E arithmetic decoder (software conventions, E.3)."""
-
-    __slots__ = ("data", "bp", "c", "a", "ct")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.bp = 0
-        b0 = data[0] if data else 0xFF
-        self.c = b0 << 16
-        self._bytein()
-        self.c = (self.c << 7) & 0xFFFFFFFF
-        self.ct -= 7
-        self.a = 0x8000
-
-    def _bytein(self) -> None:
-        d, bp = self.data, self.bp
-        b = d[bp] if bp < len(d) else 0xFF
-        if b == 0xFF:
-            b1 = d[bp + 1] if bp + 1 < len(d) else 0xFF
-            if b1 > 0x8F:  # marker: feed 1-bits forever
-                self.c += 0xFF00
-                self.ct = 8
-            else:
-                self.bp = bp + 1
-                self.c += b1 << 9
-                self.ct = 7
-        else:
-            self.bp = bp + 1
-            b1 = d[self.bp] if self.bp < len(d) else 0xFF
-            self.c += b1 << 8
-            self.ct = 8
-
-    def decode(self, cx: int, idx, mps) -> int:
-        """Decode one bit in context ``cx`` (state arrays idx/mps —
-        any int-indexable mutable sequence; bytearray is fastest)."""
-        i = idx[cx]
-        qe, nmps, nlps, switch = QE[i]
-        self.a -= qe
-        if ((self.c >> 16) & 0xFFFF) < qe:
-            # LPS decoding path (with conditional exchange)
-            if self.a < qe:
-                d = mps[cx]
-                idx[cx] = nmps
-            else:
-                d = 1 - mps[cx]
-                if switch:
-                    mps[cx] = 1 - mps[cx]
-                idx[cx] = nlps
-            self.a = qe
-        else:
-            self.c -= qe << 16
-            if self.a & 0x8000:
-                return int(mps[cx])
-            if self.a < qe:
-                d = 1 - mps[cx]
-                if switch:
-                    mps[cx] = 1 - mps[cx]
-                idx[cx] = nlps
-            else:
-                d = mps[cx]
-                idx[cx] = nmps
-        # renormalize
-        while True:
-            if self.ct == 0:
-                self._bytein()
-            self.a = (self.a << 1) & 0xFFFF
-            self.c = (self.c << 1) & 0xFFFFFFFF
-            self.ct -= 1
-            if self.a & 0x8000:
-                break
-        return int(d)
-
 
 # GB templates (T.88 6.2.5.3, figures 4-7): fixed pixels; AT pixels are
 # appended then the full list is sorted by (y, x) and the context is
@@ -182,10 +92,10 @@ def _check_at(at: list[tuple[int, int]]) -> list[tuple[int, int]]:
             raise PdfParseError(f"JBIG2 invalid AT pixel ({dx}, {dy})")
     return at
 
-# Decode budget: the arithmetic decoders are serial Python loops, so a
-# corrupt stream that parses into a huge "plausible" region must not burn
-# minutes of worker CPU before failing. 16M pixels covers an A4 scan at
-# 300 dpi; anything larger fails the row.
+# Decode budget: a corrupt stream that parses into a huge "plausible"
+# region must not allocate gigabytes or burn worker CPU (refinement and
+# symbol coding are still serial Python loops) before failing. 16M pixels
+# covers an A4 scan at 300 dpi; anything larger fails the row.
 MAX_REGION_PIXELS = 16_000_000
 
 
@@ -198,24 +108,17 @@ def decode_generic_region(
     tpgdon: bool,
 ) -> np.ndarray:
     """MQ-coded generic region decoding procedure (T.88 6.2.5.7) ->
-    (h, w) uint8 bitmap, 1 = black. Correctness-first scalar loop: the
-    arithmetic coder is inherently serial per pixel; at pipeline level
-    the parallelism axis is images-per-actor, not pixels."""
+    (h, w) uint8 bitmap, 1 = black. The pixel loop runs in the compiled
+    kernel; at pipeline level the parallelism axis is images per task."""
     if template not in GB_TEMPLATES:
         raise PdfParseError(f"JBIG2 bad GB template {template}")
-    nbits = len(GB_TEMPLATES[template]) + len(at)
-    # bytearrays, not numpy: per-element numpy indexing returns numpy
-    # scalars with real overhead in this serial per-pixel loop
-    idx = bytearray(1 << nbits)
-    mps = bytearray(1 << nbits)
-    mq = MQDecoder(data)
-    return _decode_bitmap(mq, idx, mps, w, h, template, at, tpgdon)
+    stats = new_stats(1 << (len(GB_TEMPLATES[template]) + len(at)))
+    return _decode_bitmap(MQDecoder(data), stats, w, h, template, at, tpgdon)
 
 
 def _decode_bitmap(
     mq: MQDecoder,
-    idx: bytearray,
-    mps: bytearray,
+    stats,
     w: int,
     h: int,
     template: int,
@@ -227,48 +130,22 @@ def _decode_bitmap(
     and GB context state — the symbol dictionary decodes every symbol
     bitmap through one shared decoder/stats set (T.88 6.5.8.2.1).
     ``skip`` (USESKIP, 6.2.5.7): pixels flagged in the skip bitmap are
-    not coded and decode as 0 (they still feed neighbour contexts)."""
+    not coded and decode as 0 (they still feed neighbour contexts).
+    Callers bound w * h by MAX_REGION_PIXELS before this allocates."""
     tmpl = sorted(GB_TEMPLATES[template] + list(at), key=lambda p: (p[1], p[0]))
-    skip_rows = (
-        None if skip is None else [[int(v) for v in r] for r in skip]
+    out = np.zeros((h, w), np.uint8)
+    skip_p = ffi.NULL
+    if skip is not None:
+        skip = np.ascontiguousarray(skip, np.uint8)
+        if skip.shape != (h, w):
+            raise ValueError("JBIG2 skip bitmap does not match the region")
+        skip_p = ffi.from_buffer("uint8_t[]", skip)
+    lib.mq_generic_region(
+        mq.state, stats, ffi.from_buffer("uint8_t[]", out), w, h,
+        [dx for dx, _ in tmpl], [dy for _, dy in tmpl], len(tmpl),
+        TPGD_CTX[template] if tpgdon else -1, skip_p,
     )
-    # rows as plain Python int lists: per-pixel numpy scalar indexing is
-    # ~10x slower than list indexing in this inherently-serial loop
-    zero_row = [0] * w
-    rows: list[list[int]] = []
-    ltp = 0
-    for y in range(h):
-        if tpgdon:
-            if mq.decode(TPGD_CTX[template], idx, mps):
-                ltp ^= 1
-            if ltp:
-                rows.append(list(rows[y - 1]) if y > 0 else [0] * w)
-                continue
-        r2 = rows[y - 2] if y >= 2 else zero_row
-        r1 = rows[y - 1] if y >= 1 else zero_row
-        row = [0] * w
-        rows.append(row)
-        srow = skip_rows[y] if skip_rows is not None else None
-        for x in range(w):
-            if srow is not None and srow[x]:
-                continue  # skipped pixel stays 0, nothing coded
-            ctx = 0
-            for dx, dy in tmpl:
-                xx = x + dx
-                if 0 <= xx < w:
-                    if dy == 0:
-                        ctx = (ctx << 1) | row[xx]
-                    elif dy == -1:
-                        ctx = (ctx << 1) | r1[xx]
-                    elif dy == -2:
-                        ctx = (ctx << 1) | r2[xx]
-                    else:  # exotic AT row (dy < -2)
-                        yy = y + dy
-                        ctx = (ctx << 1) | (rows[yy][xx] if yy >= 0 else 0)
-                else:
-                    ctx <<= 1
-            row[x] = mq.decode(ctx, idx, mps)
-    return np.array(rows, np.uint8).reshape(h, w)
+    return out
 
 
 OOB = object()  # out-of-band marker from the IAx integer decoder
@@ -279,18 +156,18 @@ class IntDecoder:
     per IAx statistic set (IADH, IADW, IADT, ...), 512 contexts keyed by
     the PREV bit-history tree."""
 
-    __slots__ = ("idx", "mps")
+    __slots__ = ("stats",)
 
     def __init__(self):
-        self.idx = bytearray(512)
-        self.mps = bytearray(512)
+        self.stats = new_stats(512)
 
     def decode(self, mq: MQDecoder):
+        dec, st, stats = lib.mq_decode, mq.state, self.stats
         prev = 1
 
         def bit() -> int:
             nonlocal prev
-            b = mq.decode(prev, self.idx, self.mps)
+            b = dec(st, stats, prev)
             prev = (
                 (prev << 1) | b
                 if prev < 256
@@ -325,17 +202,17 @@ class IntDecoder:
 class IaidDecoder:
     """T.88 A.3: symbol-ID decoding over SYMCODELEN bits."""
 
-    __slots__ = ("idx", "mps", "symcodelen")
+    __slots__ = ("stats", "symcodelen")
 
     def __init__(self, symcodelen: int):
         self.symcodelen = symcodelen
-        self.idx = bytearray(1 << (symcodelen + 1))
-        self.mps = bytearray(1 << (symcodelen + 1))
+        self.stats = new_stats(1 << (symcodelen + 1))
 
     def decode(self, mq: MQDecoder) -> int:
+        dec, st, stats = lib.mq_decode, mq.state, self.stats
         prev = 1
         for _ in range(self.symcodelen):
-            prev = (prev << 1) | mq.decode(prev, self.idx, self.mps)
+            prev = (prev << 1) | dec(st, stats, prev)
         return prev - (1 << self.symcodelen)
 
 
@@ -559,9 +436,7 @@ def decode_symbol_dictionary(
     mq = MQDecoder(payload[pos:])
     iadh, iadw, iaex = IntDecoder(), IntDecoder(), IntDecoder()
     iaai, iardx, iardy = IntDecoder(), IntDecoder(), IntDecoder()
-    nbits = len(GB_TEMPLATES[template]) + len(at)
-    gb_idx = bytearray(1 << nbits)
-    gb_mps = bytearray(1 << nbits)
+    gb_stats = new_stats(1 << (len(GB_TEMPLATES[template]) + len(at)))
     iaid = None
     gr_stats = None
     agg_ctx = None
@@ -573,7 +448,7 @@ def decode_symbol_dictionary(
         )
         coding, ref_tmpl = GR_TEMPLATES[rtemplate]
         gr_nbits = len(coding) + len(ref_tmpl) + (2 if rtemplate == 0 else 0)
-        gr_stats = (bytearray(1 << gr_nbits), bytearray(1 << gr_nbits))
+        gr_stats = new_stats(1 << gr_nbits)
         # integer contexts for nested aggregate text regions, retained
         # across every aggregate symbol in the dictionary (6.5.8.2.1)
         agg_ctx = tuple(IntDecoder() for _ in range(6))
@@ -651,7 +526,7 @@ def decode_symbol_dictionary(
             else:
                 new_syms.append(
                     _decode_bitmap(
-                        mq, gb_idx, gb_mps, symwidth, hcheight, template,
+                        mq, gb_stats, symwidth, hcheight, template,
                         at, False,
                     )
                 )
@@ -979,7 +854,7 @@ def decode_text_region(
             gr_nbits = len(coding_t) + len(ref_t) + (
                 2 if rtemplate == 0 else 0
             )
-            gr_stats = (bytearray(1 << gr_nbits), bytearray(1 << gr_nbits))
+            gr_stats = new_stats(1 << gr_nbits)
 
         dec_dt = lambda: iadt.decode(mq)  # noqa: E731
         dec_fs = lambda: iafs.decode(mq)  # noqa: E731
@@ -1237,7 +1112,7 @@ def decode_refinement_region(
     ref_dx: int = 0,
     ref_dy: int = 0,
     mq: "MQDecoder | None" = None,
-    stats: tuple | None = None,
+    stats=None,
 ) -> np.ndarray:
     """Refinement region decoding procedure (T.88 6.3.5.6): each target
     pixel's context combines already-decoded target neighbors with a
@@ -1253,14 +1128,11 @@ def decode_refinement_region(
         ref_tmpl = sorted(
             ref_tmpl + [tuple(at[1])], key=lambda p: (p[1], p[0])
         )
-    nbits = len(coding) + len(ref_tmpl)
-    if stats is not None:
-        idx, mps = stats  # caller-owned (symbol-dictionary sharing)
-    else:
-        idx = bytearray(1 << nbits)
-        mps = bytearray(1 << nbits)
+    if stats is None:  # else caller-owned (symbol-dictionary sharing)
+        stats = new_stats(1 << (len(coding) + len(ref_tmpl)))
     if mq is None:
         mq = MQDecoder(data)
+    dec, st = lib.mq_decode, mq.state
     rh, rw = reference.shape
     ref_rows = [[int(v) for v in r] for r in reference]
     rows: list[list[int]] = []
@@ -1269,7 +1141,7 @@ def decode_refinement_region(
         row = [0] * w
         rows.append(row)
         if tpgron:
-            if mq.decode(TPGR_CTX[template], idx, mps):
+            if dec(st, stats, TPGR_CTX[template]):
                 ltp ^= 1
         for x in range(w):
             # reference coordinates shifted by (ref_dx, ref_dy)
@@ -1295,7 +1167,7 @@ def decode_refinement_region(
                     ctx = (ctx << 1) | ref_rows[yy][xx]
                 else:
                     ctx <<= 1
-            row[x] = mq.decode(ctx, idx, mps)
+            row[x] = dec(st, stats, ctx)
     return np.array(rows, np.uint8).reshape(h, w)
 
 
@@ -1468,13 +1340,11 @@ def decode_halftone_region(
     else:
         # C.5: bitplanes MSB->LSB through ONE decoder/stats set
         at = GB_AT_NOMINAL[template]
-        nbits = len(GB_TEMPLATES[template]) + len(at)
-        idx = bytearray(1 << nbits)
-        mps = bytearray(1 << nbits)
+        stats = new_stats(1 << (len(GB_TEMPLATES[template]) + len(at)))
         mq = MQDecoder(payload[pos:])
         planes = [
             _decode_bitmap(
-                mq, idx, mps, hgw, hgh, template, at, False, skip=skip
+                mq, stats, hgw, hgh, template, at, False, skip=skip
             )
             for _ in range(bpp)
         ]
@@ -1587,6 +1457,8 @@ def decode_jbig2_embedded(data: bytes, globals_data: bytes = b"") -> bytes:
         if not bms:
             raise PdfParseError("JBIG2 page width unknown")
         page_w = max(x + r.shape[1] for _, r, x, _, _ in bms)
+    if page_w * page_h > MAX_REGION_PIXELS:  # before allocating the page
+        raise PdfParseError(f"JBIG2 bad page geometry {page_w}x{page_h}")
     page = np.full((page_h, page_w), default_pixel, np.uint8)
     for e in entries:
         if e[0] == "bm":

@@ -16,12 +16,14 @@ this implements the codestream subset that PDF-embedded JPX images use:
   POC progression-order changes (main + tile-part headers, packet
   dedupe across overlapping progression segments per B.12)
 - tier-1: EBCOT block decoding — significance-propagation, magnitude-
-  refinement and cleanup passes with the shared T.88/T.800 MQ coder
-  (jbig2.MQDecoder — the two specs define the identical coder), run-
-  length mode, and every Part-1 code-block style: selective arithmetic
-  bypass (raw SPP/MRP segments with 0xFF unstuffing), per-pass context
-  reset, TERMALL per-pass termination, vertically-causal contexts,
-  predictable termination (decode no-op), segmentation symbols
+  refinement and cleanup passes with the T.88/T.800 MQ coder (the two
+  specs define the identical coder), run-length mode, and every Part-1
+  code-block style: selective arithmetic bypass (raw SPP/MRP segments
+  with 0xFF unstuffing), per-pass context reset, TERMALL per-pass
+  termination, vertically-causal contexts, predictable termination
+  (decode no-op), segmentation symbols. Tier-1 runs in the compiled
+  kernel (mq.c, loaded by mq.py), which writes each block's signed
+  integers straight into its band; everything else here is Python
 - dequantization: reversible (no quant), scalar derived and expounded
 - inverse DWT: 5/3 reversible (exact integer lifting) and 9/7
   irreversible (scaling convention validated against the published
@@ -51,19 +53,12 @@ import struct
 
 import numpy as np
 
-from .jbig2 import MQDecoder
+from .mq import ffi, lib
 from .objects import PdfParseError
 
-# Serial-Python decode budget, same rationale as jbig2.MAX_REGION_PIXELS:
-# a corrupt SIZ must not allocate/burn minutes before failing the row.
+# Decode budget, same rationale as jbig2.MAX_REGION_PIXELS: a corrupt SIZ
+# must not allocate gigabytes or burn minutes before failing the row.
 MAX_JPX_PIXELS = 16_000_000
-
-# -- context allocation (T.800 Annex D): 9 ZC, 5 SC, 3 MR, RL, UNIFORM --
-_CTX_SC0 = 9
-_CTX_MR0 = 14
-_CTX_RL = 17
-_CTX_UNI = 18
-_N_CTX = 19
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -205,20 +200,21 @@ def _build_zc_tables() -> dict[str, list[int]]:
     return tabs
 
 
-_ZC_TABLES = _build_zc_tables()
+def _kernel_zc_tables() -> dict[str, object]:
+    """The zero-coding tables re-indexed by the kernel's incremental
+    neighbourhood count nb = h | v << 2 | d << 4 (h, v <= 2, d <= 4)."""
+    tabs = {}
+    for orient, zc in _build_zc_tables().items():
+        tab = [0] * 128
+        for h in range(3):
+            for v in range(3):
+                for d in range(5):
+                    tab[h | v << 2 | d << 4] = zc[h * 15 + v * 5 + d]
+        tabs[orient] = ffi.new("uint8_t[128]", tab)
+    return tabs
 
-# Sign-coding (Tables D.2/D.3): index (hc+1)*3 + (vc+1) -> (ctx, xorbit)
-_SC_TABLE = [
-    (_CTX_SC0 + 4, 1),  # hc=-1 vc=-1
-    (_CTX_SC0 + 3, 1),  # hc=-1 vc=0
-    (_CTX_SC0 + 2, 1),  # hc=-1 vc=1
-    (_CTX_SC0 + 1, 1),  # hc=0  vc=-1
-    (_CTX_SC0 + 0, 0),  # hc=0  vc=0
-    (_CTX_SC0 + 1, 0),  # hc=0  vc=1
-    (_CTX_SC0 + 2, 0),  # hc=1  vc=-1
-    (_CTX_SC0 + 3, 0),  # hc=1  vc=0
-    (_CTX_SC0 + 4, 0),  # hc=1  vc=1
-]
+
+_ZC_NB = _kernel_zc_tables()
 
 
 def _pass_type(t: int) -> int:
@@ -239,36 +235,6 @@ def _seg_end(t: int, cbstyle: int) -> bool:
     return False
 
 
-def _is_raw(t: int, cbstyle: int) -> bool:
-    """Raw (bypass) passes: SPP/MRP from the 11th coding pass on."""
-    return bool(cbstyle & 0x01) and t >= 10 and _pass_type(t) != 2
-
-
-class _RawBits:
-    """Raw (arithmetic-bypass) bit reader with 0xFF unstuffing: the byte
-    after an 0xFF carries only 7 bits (D.6). Reads past the end return
-    zero bits (never consulted on well-formed streams)."""
-
-    __slots__ = ("data", "pos", "c", "ct")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.c = 0
-        self.ct = 0
-
-    def bit(self) -> int:
-        if self.ct == 0:
-            prev = self.c
-            self.c = (
-                self.data[self.pos] if self.pos < len(self.data) else 0
-            )
-            self.pos += 1
-            self.ct = 7 if prev == 0xFF else 8
-        self.ct -= 1
-        return (self.c >> self.ct) & 1
-
-
 def _decode_cblk(
     segs: list,
     w: int,
@@ -277,222 +243,41 @@ def _decode_cblk(
     npasses: int,
     orient: str,
     cbstyle: int,
-) -> tuple[list[int], list[int]]:
-    """EBCOT tier-1 decode of one code-block (D.3/D.4) -> (mags, signs)
-    as flat row-major lists. ``segs`` is the list of codeword segments
-    as (bytes, npasses) — one segment in the default code-block style,
-    several under TERMALL/bypass. Honors cbstyle bits: 0x01 selective
-    bypass (raw SPP/MRP), 0x02 context reset per pass, 0x04 TERMALL,
-    0x08 vertically-causal contexts, 0x10 predictable termination
-    (encoder-side only — nothing to do), 0x20 segmentation symbols."""
-    n = w * h
-    sig = bytearray(n)
-    visited = bytearray(n)
-    refined = bytearray(n)
-    sgn = bytearray(n)
-    mag = [0] * n
-    idx = bytearray(_N_CTX)
-    mps = bytearray(_N_CTX)
-    zc = _ZC_TABLES[orient]
-    causal = bool(cbstyle & 0x08)
-    segsym = bool(cbstyle & 0x20)
-
-    def init_ctx() -> None:
-        for i in range(_N_CTX):
-            idx[i] = 0
-            mps[i] = 0
-        idx[_CTX_UNI] = 46
-        idx[_CTX_RL] = 3
-        idx[0] = 4
-
-    init_ctx()
-    mq = None
-    rb = None
-    seg_i = 0
-
-    def start_segment(t: int) -> None:
-        nonlocal mq, rb, seg_i
-        data = segs[seg_i][0] if seg_i < len(segs) else b""
-        seg_i += 1
-        if _is_raw(t, cbstyle):
-            rb = _RawBits(bytes(data))
-            mq = None
-        else:
-            mq = MQDecoder(bytes(data))
-            rb = None
-
-    def nbr_counts(pos: int, x: int, y: int) -> tuple[int, int, int]:
-        hh = vv = dd = 0
-        below = y + 1 < h and not (causal and (y & 3) == 3)
-        if x > 0 and sig[pos - 1]:
-            hh += 1
-        if x + 1 < w and sig[pos + 1]:
-            hh += 1
-        if y > 0 and sig[pos - w]:
-            vv += 1
-        if below and sig[pos + w]:
-            vv += 1
-        if x > 0 and y > 0 and sig[pos - w - 1]:
-            dd += 1
-        if x + 1 < w and y > 0 and sig[pos - w + 1]:
-            dd += 1
-        if x > 0 and below and sig[pos + w - 1]:
-            dd += 1
-        if x + 1 < w and below and sig[pos + w + 1]:
-            dd += 1
-        return hh, vv, dd
-
-    def decode_sign(pos: int, x: int, y: int) -> int:
-        hc = vc = 0
-        below = y + 1 < h and not (causal and (y & 3) == 3)
-        if x > 0 and sig[pos - 1]:
-            hc += -1 if sgn[pos - 1] else 1
-        if x + 1 < w and sig[pos + 1]:
-            hc += -1 if sgn[pos + 1] else 1
-        if y > 0 and sig[pos - w]:
-            vc += -1 if sgn[pos - w] else 1
-        if below and sig[pos + w]:
-            vc += -1 if sgn[pos + w] else 1
-        hc = max(-1, min(1, hc))
-        vc = max(-1, min(1, vc))
-        ctx, xorbit = _SC_TABLE[(hc + 1) * 3 + (vc + 1)]
-        return mq.decode(ctx, idx, mps) ^ xorbit
-
-    def spp(p: int) -> None:
-        bit = 1 << p
-        for k0 in range(0, h, 4):
-            k1 = min(k0 + 4, h)
-            for x in range(w):
-                for y in range(k0, k1):
-                    pos = y * w + x
-                    if sig[pos]:
-                        continue
-                    hh, vv, dd = nbr_counts(pos, x, y)
-                    if hh == 0 and vv == 0 and dd == 0:
-                        continue
-                    visited[pos] = 1
-                    if mq.decode(zc[hh * 15 + vv * 5 + min(dd, 4)], idx, mps):
-                        sig[pos] = 1
-                        sgn[pos] = decode_sign(pos, x, y)
-                        mag[pos] |= bit
-
-    def spp_raw(p: int) -> None:
-        # D.6: significance decision and sign are raw bits, no contexts
-        bit = 1 << p
-        for k0 in range(0, h, 4):
-            k1 = min(k0 + 4, h)
-            for x in range(w):
-                for y in range(k0, k1):
-                    pos = y * w + x
-                    if sig[pos]:
-                        continue
-                    hh, vv, dd = nbr_counts(pos, x, y)
-                    if hh == 0 and vv == 0 and dd == 0:
-                        continue
-                    visited[pos] = 1
-                    if rb.bit():
-                        sig[pos] = 1
-                        sgn[pos] = rb.bit()
-                        mag[pos] |= bit
-
-    def mrp(p: int) -> None:
-        bit = 1 << p
-        for k0 in range(0, h, 4):
-            k1 = min(k0 + 4, h)
-            for x in range(w):
-                for y in range(k0, k1):
-                    pos = y * w + x
-                    if not sig[pos] or visited[pos]:
-                        continue
-                    if refined[pos]:
-                        ctx = _CTX_MR0 + 2
-                    else:
-                        hh, vv, dd = nbr_counts(pos, x, y)
-                        ctx = _CTX_MR0 + (1 if hh + vv + dd else 0)
-                    if mq.decode(ctx, idx, mps):
-                        mag[pos] |= bit
-                    refined[pos] = 1
-
-    def mrp_raw(p: int) -> None:
-        bit = 1 << p
-        for k0 in range(0, h, 4):
-            k1 = min(k0 + 4, h)
-            for x in range(w):
-                for y in range(k0, k1):
-                    pos = y * w + x
-                    if not sig[pos] or visited[pos]:
-                        continue
-                    if rb.bit():
-                        mag[pos] |= bit
-                    refined[pos] = 1
-
-    def cup(p: int) -> None:
-        bit = 1 << p
-        for k0 in range(0, h, 4):
-            k1 = min(k0 + 4, h)
-            full = k1 - k0 == 4
-            for x in range(w):
-                start = k0
-                if full:
-                    # run-length mode: whole column uncoded + all-zero
-                    # neighborhoods (D.4.4)
-                    rl = True
-                    for y in range(k0, k1):
-                        pos = y * w + x
-                        if sig[pos] or visited[pos]:
-                            rl = False
-                            break
-                        hh, vv, dd = nbr_counts(pos, x, y)
-                        if hh or vv or dd:
-                            rl = False
-                            break
-                    if rl:
-                        if not mq.decode(_CTX_RL, idx, mps):
-                            continue  # all four stay insignificant
-                        r = (
-                            mq.decode(_CTX_UNI, idx, mps) << 1
-                        ) | mq.decode(_CTX_UNI, idx, mps)
-                        pos = (k0 + r) * w + x
-                        sig[pos] = 1
-                        sgn[pos] = decode_sign(pos, x, k0 + r)
-                        mag[pos] |= bit
-                        start = k0 + r + 1
-                for y in range(start, k1):
-                    pos = y * w + x
-                    if sig[pos] or visited[pos]:
-                        continue
-                    hh, vv, dd = nbr_counts(pos, x, y)
-                    if mq.decode(zc[hh * 15 + vv * 5 + min(dd, 4)], idx, mps):
-                        sig[pos] = 1
-                        sgn[pos] = decode_sign(pos, x, y)
-                        mag[pos] |= bit
-        if segsym:
-            s = 0
-            for _ in range(4):
-                s = (s << 1) | mq.decode(_CTX_UNI, idx, mps)
-            if s != 0xA:
-                raise PdfParseError("JPX: segmentation symbol mismatch")
-
-    t = 0
-    reset = bool(cbstyle & 0x02)
-    for p in range(numbps - 1, -1, -1):
-        for kind in (2,) if p == numbps - 1 else (0, 1, 2):
-            if t >= npasses:
-                return mag, sgn
-            if t == 0 or _seg_end(t - 1, cbstyle):
-                start_segment(t)
-            if kind == 0:
-                (spp_raw if _is_raw(t, cbstyle) else spp)(p)
-            elif kind == 1:
-                (mrp_raw if _is_raw(t, cbstyle) else mrp)(p)
-            else:
-                cup(p)
-            if reset:
-                init_ctx()
-            t += 1
-        for i in range(n):
-            visited[i] = 0
-    return mag, sgn
+    roi: int,
+    out: np.ndarray,
+    y0: int,
+    x0: int,
+) -> None:
+    """EBCOT tier-1 decode of one code-block (D.3/D.4) into
+    ``out[y0:y0+h, x0:x0+w]`` (a C-contiguous int64 band) as signed
+    integers, with maxshift ROI magnitudes (>= 2**roi) scaled back down.
+    ``segs`` is the list of codeword segments as (bytes, npasses) — one
+    segment in the default code-block style, several under TERMALL/
+    bypass. Honors cbstyle bits: 0x01 selective bypass (raw SPP/MRP),
+    0x02 context reset per pass, 0x04 TERMALL, 0x08 vertically-causal
+    contexts, 0x10 predictable termination (encoder-side only — nothing
+    to do), 0x20 segmentation symbols. Runs in the kernel (mq.c)."""
+    rows, stride = out.shape
+    if not (
+        out.dtype == np.int64 and out.flags.c_contiguous and x0 >= 0
+        and y0 >= 0 and x0 + w <= stride and y0 + h <= rows
+    ):
+        raise ValueError("JPX: code-block outside its int64 band")
+    data = b"".join(seg[0] for seg in segs)
+    rc = lib.t1_decode_cblk(
+        ffi.from_buffer("uint8_t[]", data), [len(seg[0]) for seg in segs],
+        len(segs), w, h, numbps, npasses, _ZC_NB[orient], cbstyle, roi,
+        ffi.from_buffer("int64_t[]", out) + (y0 * stride + x0), stride,
+    )
+    if rc == -1:
+        raise PdfParseError("JPX: segmentation symbol mismatch")
+    if rc == -2:
+        # a magnitude bit at bitplane >= 63 (numbps > 63): the error the
+        # int64 conversion of the arbitrary-precision Python magnitudes
+        # gave before tier-1 was compiled
+        raise OverflowError("Python int too large to convert to C long")
+    if rc == -3:
+        raise MemoryError("JPX: code-block buffers")
 
 
 # -- inverse DWT (Annex F) ---------------------------------------------------
@@ -1122,10 +907,9 @@ class _TileDecoder:
             else:
                 rb = depth + b.gain
                 delta = (2.0 ** (rb - eps)) * (1.0 + mu / 2048.0)
-            bw, bh = b.x1 - b.x0, b.y1 - b.y0
-            b.coefs = np.zeros(
-                (bh, bw), np.int64 if reversible else np.float64
-            )
+            # tier-1 writes quantized integers; the irreversible
+            # midpoint x delta step runs once per band below
+            b.coefs = np.zeros((b.y1 - b.y0, b.x1 - b.x0), np.int64)
             b.mb = mb
             b.delta = delta
         # tier-1 every included code-block
@@ -1136,40 +920,21 @@ class _TileDecoder:
                     for cb in bp.cbs:
                         if not cb.included or cb.npasses == 0:
                             continue
-                        w, h = cb.x1 - cb.x0, cb.y1 - cb.y0
                         numbps = band.mb - cb.zbp
                         if numbps <= 0:
                             continue
-                        mags, sgns = _decode_cblk(
-                            cb.segs, w, h, numbps, cb.npasses,
-                            band.orient, cod.cbstyle,
+                        _decode_cblk(
+                            cb.segs, cb.x1 - cb.x0, cb.y1 - cb.y0, numbps,
+                            cb.npasses, band.orient, cod.cbstyle,
+                            self.rgns[c], band.coefs, cb.y0 - band.y0,
+                            cb.x0 - band.x0,
                         )
-                        arr = band.coefs
-                        y0, x0 = cb.y0 - band.y0, cb.x0 - band.x0
-                        mags_i = np.array(mags, np.int64)
-                        s_roi = self.rgns[c]
-                        if s_roi:
-                            # any magnitude >= 2**SPrgn is an ROI
-                            # coefficient: undo the maxshift scaling
-                            mags_i = np.where(
-                                mags_i >= (1 << s_roi),
-                                mags_i >> s_roi,
-                                mags_i,
-                            )
-                        if reversible:
-                            vals = mags_i
-                            sg = np.frombuffer(
-                                bytes(sgns), np.uint8
-                            ).astype(np.int64)
-                            vals = np.where(sg == 1, -vals, vals)
-                        else:
-                            m = mags_i.astype(np.float64)
-                            # midpoint reconstruction of quantized mags
-                            vals = np.where(m > 0, (m + 0.5), 0.0)
-                            sg = np.frombuffer(bytes(sgns), np.uint8)
-                            vals = np.where(sg == 1, -vals, vals)
-                            vals *= band.delta
-                        arr[y0 : y0 + h, x0 : x0 + w] = vals.reshape(h, w)
+        if not reversible:
+            # midpoint reconstruction of the quantized magnitudes
+            for b in band_seq:
+                q = b.coefs
+                b.coefs = q + np.sign(q) * 0.5
+                b.coefs *= b.delta
         # inverse DWT
         a = resolutions[0].bands[0].coefs
         for r in range(1, n + 1):

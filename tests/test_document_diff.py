@@ -51,12 +51,18 @@ def typed(v):
     return (kind, repr(v) if isinstance(v, float) else v)
 
 
+CYCLE = "indirect reference cycle while reading an object"
+
+
 def raised(e: Exception) -> tuple:
-    """An error as its class and message. A RecursionError (an indirect
-    ``/Length`` that refers back to its own stream recurses in both) is
-    its class only: its message names the kind of call that hit the
-    limit, which depends on the stack."""
-    if isinstance(e, RecursionError):
+    """An error as its class and message. An indirect ``/Length`` that
+    refers back to its own stream recursed in the frozen resolver until
+    RecursionError (whose message depends on the stack); the engine
+    raises PdfParseError(CYCLE) instead. Both read as the class
+    RecursionError, the one accepted difference besides nesting depth."""
+    if isinstance(e, RecursionError) or (
+        isinstance(e, PdfParseError) and str(e) == CYCLE
+    ):
         return ("raise", RecursionError)
     return ("raise", type(e), str(e))
 
@@ -334,6 +340,23 @@ def test_nesting_past_max_depth_is_the_one_difference(levels):
     assert got == [("raise", PdfParseError, f"objects nested deeper than {MAX_DEPTH} levels")]
     want = snapshot(ref, buf, recover=False)
     assert want[0] == ("raise", RecursionError) if levels == 10**5 else want[0][0] == "xref"
+
+
+def test_self_referential_length_raises_parse_error():
+    """The "indirect length" mutation ``/Length 4 0 R`` on object 4 (the
+    content stream), built with real offsets: the engine raises
+    PdfParseError with a fixed message where the frozen resolver
+    recursed into RecursionError."""
+    data = b"BT /F1 12 Tf (self length) Tj ET"
+    buf = one_page(o4=b"<< /Length 4 0 R >>\nstream\n" + data + b"\nendstream")
+    doc = NEW.Document(buf)
+    with pytest.raises(PdfParseError) as e:
+        doc.resolve(objects.Ref(4, 0))
+    assert str(e.value) == CYCLE
+    with pytest.raises(PdfParseError, match=CYCLE):
+        doc.page_content(doc.pages[0])
+    with pytest.raises(RecursionError):
+        ref.Document(buf).resolve(ref.Ref(4, 0))
 
 
 def test_typed_tells_values_apart():

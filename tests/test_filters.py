@@ -202,3 +202,17 @@ def test_crypt_filter_identity_passthrough():
         decode_stream(
             Stream({"Filter": "Crypt", "DecodeParms": {"Name": "StdCF"}}, b"x")
         )
+
+
+def test_png_predictor_columns_budget_before_allocating():
+    """f07 with an 11-digit /Columns: the predictor row budget fails the
+    document with PdfParseError before a row buffer is allocated (it was
+    a MemoryError)."""
+    from pdf_ray.fixtures.corpus import FIXTURES
+    from pdf_ray.pdfcore.interp import extract_spans
+    from pdf_ray.pdfcore.objects import PdfParseError
+
+    pdf = FIXTURES["f07"]()[0]
+    assert b"/Columns 7" in pdf
+    with pytest.raises(PdfParseError, match="PNG predictor row too wide"):
+        extract_spans(pdf.replace(b"/Columns 7", b"/Columns 99999999999"))

@@ -14,11 +14,10 @@ from pdf_ray.fixtures.jbig2enc import (
 )
 from pdf_ray.pdfcore.jbig2 import (
     GB_AT_NOMINAL,
-    MQDecoder,
-    QE,
     decode_generic_region,
     decode_jbig2_embedded,
 )
+from pdf_ray.pdfcore.mq import QE, MQDecoder, new_stats
 from pdf_ray.pdfcore.objects import PdfParseError, Stream
 
 
@@ -29,10 +28,9 @@ def _roundtrip(bits, ctxs, n_ctx):
     for b, c in zip(bits, ctxs):
         enc.encode(int(b), int(c), idx, mps)
     data = enc.finish()
-    idx2 = np.zeros(n_ctx, np.uint8)
-    mps2 = np.zeros(n_ctx, np.uint8)
+    stats = new_stats(n_ctx)
     dec = MQDecoder(data)
-    return [dec.decode(int(c), idx2, mps2) for c in ctxs]
+    return [dec.decode(stats, int(c)) for c in ctxs]
 
 
 def test_qe_table_structure():
@@ -834,3 +832,22 @@ def test_symbol_dict_huffman_aggregate_truncated_raises():
     for cut in (1, 2, 4):
         with pytest.raises(PdfParseError):
             decode_symbol_dictionary(payload[:-cut], [base])
+
+
+@pytest.mark.parametrize("name", ["f34", "f36", "f37"])
+@pytest.mark.parametrize("field", [0, 4])  # page width, page height
+def test_page_info_budget_before_allocating(name, field):
+    """A 1-byte edit of the JBIG2 page-information segment (its width or
+    height becomes ~2**31): the page budget fails the image with
+    PdfParseError before the page bitmap is allocated (it was a
+    MemoryError asking for 16-44 GiB)."""
+    from pdf_ray.fixtures.corpus import FIXTURES
+    from pdf_ray.pdfcore.interp import extract_spans
+
+    pdf = bytearray(FIXTURES[name]()[0])
+    # segment header: type 48, no referred segments, page 1, 19-byte payload
+    i = pdf.find(b"\x30\x00\x01\x00\x00\x00\x13")
+    assert i > 0
+    pdf[i + 7 + field] = 0x7F
+    with pytest.raises(PdfParseError, match="JBIG2 bad page geometry"):
+        extract_spans(bytes(pdf))

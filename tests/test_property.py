@@ -233,7 +233,7 @@ def test_mq_coder_roundtrip_property(bits, nctx):
     import numpy as np
 
     from pdf_ray.fixtures.jbig2enc import MQEncoder
-    from pdf_ray.pdfcore.jbig2 import MQDecoder
+    from pdf_ray.pdfcore.mq import MQDecoder, new_stats
 
     ctxs = [(i * 7) % nctx for i in range(len(bits))]
     idx = np.zeros(nctx, np.uint8)
@@ -242,10 +242,9 @@ def test_mq_coder_roundtrip_property(bits, nctx):
     for b, c in zip(bits, ctxs):
         enc.encode(int(b), int(c), idx, mps)
     data = enc.finish()
-    idx2 = np.zeros(nctx, np.uint8)
-    mps2 = np.zeros(nctx, np.uint8)
+    stats = new_stats(nctx)
     dec = MQDecoder(data)
-    assert [dec.decode(int(c), idx2, mps2) for c in ctxs] == bits
+    assert [dec.decode(stats, int(c)) for c in ctxs] == bits
 
 
 @given(
@@ -264,7 +263,8 @@ def test_jbig2_integer_coding_roundtrip_property(vals):
     """IAx integer encode/decode roundtrip across every range bucket
     boundary (T.88 Annex A), including OOB (None)."""
     from pdf_ray.fixtures.jbig2enc import IntEncoder, MQEncoder
-    from pdf_ray.pdfcore.jbig2 import OOB, IntDecoder, MQDecoder
+    from pdf_ray.pdfcore.jbig2 import OOB, IntDecoder
+    from pdf_ray.pdfcore.mq import MQDecoder
 
     enc = MQEncoder()
     ie = IntEncoder()
