@@ -14,17 +14,19 @@ Mirrors the reference ``ContentLexer`` (src/content/mod.rs:38-139):
   data after the ``ID`` operator, up to ``EI``, is one item (the reference
   todo!()s on BI/ID/EI, src/render/mod.rs:292 — we implement the spec)
 
-``STATEMENT`` matches one operator statement whole: the whitespace and
-comments before it (the object scanner's ``_SKIP``), its run of plain
-operands — numbers, ``#``-free names and plain ``(...)`` strings, built
-from the object scanner's patterns in ``lexer.py`` — and the operator.
-``statements`` walks a stream with it, one match per statement. Every
-operand the pattern does not frame (``#XX`` names, escaped or nested
-strings, hex strings, arrays, dicts, ``N G R`` references, ``true``/
-``false``/``null`` and digit runs too long to leave unconverted) is read
-by ``Lexer.lex_object`` or the keyword table. Plain operands are yielded
-as their raw bytes (``b"12"``, ``b"/F1"``, ``b"(text)"``), so a consumer
-converts only the operands it reads (``value``).
+The compiled scanner (``scan.c``, loaded by ``lexer.py``) frames
+statements in batches: each statement that is a run of plain operands —
+numbers (ints of at most 300 digits that do not start an ``N G R``),
+``#``-free names and plain ``(...)`` strings — and a known operator is
+one ``(operands, name)`` of the batch. The batch ends at the first other
+statement, whose plain operands and raw operator come back with it;
+``statements`` handles only that one in Python: ``true``/``false``/
+``null``, ``BX``/``EX``, ``ID`` inline data, an operand the scanner does
+not frame (read by ``Lexer.lex_object``: ``#XX`` names, escaped or nested
+strings, hex strings, arrays, dicts, ``N G R`` references, longer digit
+runs) and the unknown-operator error. Plain operands are yielded as their
+raw bytes (``b"12"``, ``b"/F1"``, ``b"(text)"``), so a consumer converts
+only the operands it reads (``value``).
 
 The interpreter (``interp.py``) dispatches each statement through its
 operator table; ``tokenize`` flattens the same statements into the
@@ -33,9 +35,7 @@ reference lexer's token stream.
 
 from __future__ import annotations
 
-import re
-
-from .lexer import _DELIM, _PLAIN_NAME, _REAL, _SKIP, _WS, WHITESPACE, Lexer
+from .lexer import WHITESPACE, Lexer, _scan
 from .objects import NULL, Name, PdfParseError
 
 OPERATORS = frozenset(
@@ -43,44 +43,14 @@ OPERATORS = frozenset(
     f* G g gs h i ID j J K k l m M MP n q Q re RG rg ri s S SC sc SCN scn
     sh T* Tc Td TD Tf Tj TJ TL Tm Tr Ts Tw Tz v w W W* y ' \"""".split()
 )
-# operator bytes -> name, for the operators with no framing of their own
-_PLAIN_OPERATORS = {op.encode(): op for op in OPERATORS - {"BX", "EX", "ID"}}
+# the operators with no framing of their own: the scanner batches their
+# statements and yields each under its name
+_scan.operators({op.encode(): op for op in OPERATORS - {"BX", "EX", "ID"}})
 _KEYWORDS = {"true": True, "false": False, "null": NULL}
 
 OBJ = 0
 OP = 1
 INLINE = 2
-
-# An integer followed by `G R` and a delimiter is an indirect reference
-# (src/lex.rs:473-494) and goes to lex_object; `1 1 1 RG` stays plain, as
-# no delimiter follows its R. Runs of over 300 digits go there too, so a
-# raw integer never overflows float() and int() refuses a run past its
-# digit limit where the reference lexer converts it.
-_PLAIN_INT = (
-    rb"[+-]?\d{1,300}+(?!\d)(?![" + _WS + rb"]++\d++[" + _WS + rb"]++R[" + _WS + _DELIM + rb"])"
-)
-# one plain operand: the token the reference lexer reads at that byte
-# (the alternatives start with distinct bytes; a real is tried before an
-# int). The lookahead turns an operator's first byte away at once.
-_PLAIN = (
-    rb"(?=[-+.0-9/(])(?>/" + _PLAIN_NAME + rb"|\([^()\\]*+\)|" + _REAL + rb"|" + _PLAIN_INT + rb")"
-)
-# an alnum run ended inclusively by one of * ' ", or a lone quote
-# (src/content/mod.rs:83-99)
-_OPERATOR = rb"['\"]|[A-Za-z][A-Za-z0-9]*+[*'\"]?"
-
-# Groups: the first and second plain operands, the plain operands after
-# them (each with the whitespace after it) and the operator, which is
-# None when the next item is not plain or the stream ends. Most
-# statements take two operands or fewer, so they need no second scan.
-STATEMENT = re.compile(
-    _SKIP
-    + rb"(?:(" + _PLAIN + rb")" + _SKIP
-    + rb"(?:(" + _PLAIN + rb")" + _SKIP
-    + rb"((?:" + _PLAIN + _SKIP + rb")*+))?)?"
-    + rb"(" + _OPERATOR + rb")?"
-)
-_OPERAND = re.compile(rb"(" + _PLAIN + rb")" + _SKIP)
 
 
 def value(v):
@@ -108,29 +78,16 @@ def statements(buf: bytes):
     ``((), "ID")`` and ``((), "EI")``; unknown operators inside ``BX``/``EX``
     are dropped."""
     n = len(buf)
-    match = STATEMENT.match
-    split = _OPERAND.findall
+    scan = _scan.statements
     lx = None
     compat_depth = 0
     pos = 0
     while pos < n:
-        m = match(buf, pos)
-        pos = m.end()
-        first, second, rest, op = m.groups()
-        if first is None:
-            operands = ()
-        elif second is None:
-            operands = [first]
-        elif rest:
-            operands = [first, second, *split(rest)]
-        else:
-            operands = [first, second]
-        name = _PLAIN_OPERATORS.get(op)
-        if name is not None:
-            yield operands, name
+        batch, operands, op, pos = scan(buf, pos)
+        yield from batch
+        if operands is None:  # a full batch, or only whitespace left
             continue
         if op is not None:
-            op = op.decode("latin-1")
             if op in _KEYWORDS:
                 yield [*operands, _KEYWORDS[op]], None
                 continue

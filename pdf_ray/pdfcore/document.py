@@ -12,7 +12,7 @@ PDF byte payload in, parsed pages out. No cross-row state.
 from __future__ import annotations
 
 from .filters import decode_stream
-from .lexer import NUMBER_PAIR, Lexer, lex_indirect, parse_whole
+from .lexer import NUMBER_PAIR, Lexer, lex_indirect
 from .objects import NULL, Name, PdfParseError, Ref, Stream
 from .xref import Compressed, InUse, read_full_xref
 
@@ -187,7 +187,9 @@ class Document:
         pos = 0
         for _ in range(n):
             m = NUMBER_PAIR.match(data, pos)
-            pairs.append((parse_whole(m[1]), parse_whole(m[2])))
+            if not m[1] or not m[2]:  # /N counts more pairs than the header has
+                raise PdfParseError("bad ObjStm header")
+            pairs.append((int(m[1]), int(m[2])))
             pos = m.end()
         result = (pairs, data, first)
         self._objstm_cache[num] = result

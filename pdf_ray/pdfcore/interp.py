@@ -19,8 +19,8 @@ emit interleaved spans instead of painting:
 - span ``order`` is a 0-based per-document counter across pages in document
   order and across nested form invocations
 
-One pass per content stream: ``content.statements`` matches each operator
-statement whole, ``_exec`` pushes its operands and calls the operator's
+One pass per content stream: ``content.statements`` yields each operator
+statement whole (framed in batches by ``scan.c``), ``_exec`` pushes its operands and calls the operator's
 handler from one table (``_OPS``), the way the reference's loop has one
 ``match`` arm per operator. Plain operands stay raw bytes on the stack
 until a handler reads them, so operators whose operands no output reads

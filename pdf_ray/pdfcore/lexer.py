@@ -1,28 +1,22 @@
-"""Compiled PDF object scanner.
+"""PDF object lexer: the compiled scanner ``scan.c`` and the forms it
+leaves to Python.
 
-One regex frames every common object: ``_TOKEN`` skips whitespace and
-``%`` comments, matches one token (an ``N G R`` reference, a real, an int,
-a name, ``<<``, ``[``, a plain ``(...)`` string or a keyword) and skips
-what follows it, so ``Lexer.lex_object`` is one ``match`` and a dispatch on
-``m.lastgroup``. The same patterns frame indirect-object preludes, ObjStm
-header pairs, ``startxref`` and classic xref rows (``xref.py``,
-``document.py``), and the content scanner (``content.py``) builds its
-statement pattern from the skip, real and name patterns here. The forms
-the regex leaves out — ``#XX`` names, literal strings with escapes or
-nested parentheses, hex strings, stream framing and malformed input — go
-through ``Lexer._lex_rare`` and its helpers below. Nested objects recurse
-through ``Lexer.lex_object``, at most ``MAX_DEPTH`` arrays and
-dictionaries deep.
-
-Dictionaries are read an entry at a time by ``_read_entries``: one
-``_ENTRY`` match takes a plain-name key with its value whole — a plain
-token, an array of plain tokens (read by one ``_ITEMS.findall``), or the
-``<<`` of a dictionary, whose entries are read the same way. Any other
-entry (a ``#XX`` key, a hex string, a nested array...) goes through
-``_KEY`` and ``lex_object``. ``lex_indirect`` reads a common indirect
-object in one pass: one match for ``N G obj <<``, one per entry, and one
-for ``>>`` with the ``stream`` keyword and its EOL, after which a direct
-``/Length`` cuts the stream data.
+``scan.c`` frames and converts every common object in one C call:
+whitespace (NUL included) and ``%`` comments, ``#``-free names, ``N G R``
+references, reals and ints, plain ``(...)`` strings, ``true``/``false``/
+``null``, and arrays and dictionaries of these, at most ``MAX_DEPTH``
+deep. ``lex_indirect`` reads an indirect object whole there: the
+``N G obj`` prelude, the object, and for a stream its EOL, a direct
+``/Length`` cut and the ``endstream`` check. The scanner hands each
+other form to a ``Lexer`` method at the byte where it starts
+(``_lex_rare``, ``_lex_item``, ``_lex_key``, ``_lex_stream``,
+``_too_deep``): escaped or nested literal strings, hex strings, ``#XX``
+names, a sign or ``.`` without digits, streams with an indirect
+``/Length``, and every error, so each parse error is raised here with
+its message. The content scanner (``content.py``) frames statements in
+the same C module. The regexes left here frame ObjStm header pairs,
+``startxref`` and classic xref rows (``xref.py``, ``document.py``) and
+serve the Python forms.
 
 Semantics are the reference lexer's, exactly (these define span-text
 parity, see SURVEY.md §7.4.1):
@@ -46,8 +40,8 @@ from __future__ import annotations
 
 import binascii
 import re
-from functools import partial
 
+from .kernels import Kernel, build, load
 from .objects import NULL, Name, PdfParseError, Ref, Stream
 
 WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
@@ -57,17 +51,8 @@ _DELIM = rb"()<>\[\]{}/%"
 # whitespace and %-comments, as one unrolled run of possessive loops, so a
 # token that fails to match never backtracks into it
 _SKIP = rb"[" + _WS + rb"]*+(?:%[^\r\n]*+[" + _WS + rb"]*+)*+"
-_REAL = rb"[+-]?+(?:\d++\.\d*+|\.\d++)"
-_INT = rb"[+-]?\d+"
-# the `R` of a reference: R must be followed by a byte, and that byte must
-# be whitespace or a delimiter (`12 0 RG` is not a reference)
-_R = _SKIP + rb"R(?=[" + _WS + _DELIM + rb"])"
-_REF_TAIL = _SKIP + rb"(?P<gen>\d++)" + _R
-# a name run without '#': names with '#XX' escapes take the slow path
-_PLAIN_NAME = rb"[^" + _WS + _DELIM + rb"#]*+(?!#)"
 
 SKIP = re.compile(_SKIP)
-NUMBER = re.compile(_REAL + rb"|" + _INT)
 # two whole numbers, either may be empty: ObjStm header pairs, xref
 # subsection headers
 NUMBER_PAIR = re.compile(_SKIP + rb"(\d*+)" + _SKIP + rb"(\d*+)" + _SKIP)
@@ -78,66 +63,9 @@ XREF_ROWS = re.compile(rb"(?:\d{10} \d{5} [nf][" + _WS + rb"]{2})*+")
 XREF_ROW_FIELDS = re.compile(rb"(\d{10}) (\d{5}) ([nf])")
 STARTXREF_OFFSET = re.compile(_SKIP + rb"(\d++)")
 
-_TOKEN = re.compile(
-    _SKIP
-    + rb"(?:(?P<ref>[+-]?(?P<num>\d++)" + _REF_TAIL + rb")"
-    + rb"|(?P<real>" + _REAL + rb")"
-    + rb"|(?P<int>" + _INT + rb")"
-    + rb"|/(?P<name>" + _PLAIN_NAME + rb")"
-    + rb"|(?P<dict><<)"
-    + rb"|(?P<array>\[)"
-    + rb"|\((?P<str>[^()\\]*+)\)"
-    + rb"|(?P<true>true)|(?P<false>false)|(?P<null>null)"
-    + rb"|(?P<rare>))"
-    + _SKIP
-)
-
-# -- whole entries ----------------------------------------------------------
-# One plain token, as _TOKEN reads it: a name, or a number read as a
-# reference, then a real, then an int (the alternatives _TOKEN tries in
-# that order, here sharing their digits), or a plain string or keyword.
-# Atomic, so a frame can never re-split a token to match.
-_PLAIN = (
-    rb"(?>/" + _PLAIN_NAME
-    + rb"|[+-]?(?:\d++(?:" + _SKIP + rb"\d++" + _R + rb"|\.\d*+)?|\.\d++)"
-    + rb"|\([^()\\]*+\)|true|false|null)"
-)
-# a dictionary entry: a plain-name key (1) and a plain value — a name
-# (2), a reference (3 and 4), a real, an int, a string, a keyword (5-8) —
-# an array of plain tokens, whose items (9) start at the first item, or
-# the `<<` of a dictionary (10)
-_ENTRY = re.compile(
-    rb"/(" + _PLAIN_NAME + rb")" + _SKIP
-    + rb"(?:/(" + _PLAIN_NAME + rb")|[+-]?(\d++)" + _SKIP + rb"(\d++)" + _R
-    + rb"|(" + _REAL + rb")|(" + _INT + rb")|\(([^()\\]*+)\)|(true|false|null)"
-    + rb"|\[" + _SKIP + rb"((?:" + _PLAIN + _SKIP + rb")*+)\]"
-    + rb"|<<" + _SKIP + rb"())"
-    + _SKIP
-)
-# the items of an array _ENTRY framed: a name with its '/' (1), a
-# reference (2 and 3), a real, an int, a string with its parentheses, a
-# keyword; no group is empty when it matched
-_ITEMS = re.compile(
-    rb"(?:(/" + _PLAIN_NAME + rb")|[+-]?(\d++)" + _SKIP + rb"(\d++)" + _R
-    + rb"|(" + _REAL + rb")|(" + _INT + rb")|(\([^()\\]*+\))|(true|false|null))"
-    + _SKIP
-)
-# `N G obj <<` (either number may be missing) and the whitespace after it
-_OPEN_INDIRECT = re.compile(
-    _SKIP + rb"\d*+" + _SKIP + rb"\d*+" + _SKIP + rb"obj" + _SKIP + rb"<<" + _SKIP
-)
-# a dictionary's `>>`, and the EOL (1) after a `stream` keyword
-_CLOSE = re.compile(rb">>" + _SKIP + rb"(?:stream(\r\n?|\n))?")
-# a nested dictionary's `>>`, unless lex_object would read a stream there
-_CLOSE_NESTED = re.compile(rb">>" + _SKIP + rb"(?!stream)")
-_ENDSTREAM = re.compile(_SKIP + rb"endstream")
-_KEYWORDS_BY_BYTES = {b"true": True, b"false": False, b"null": NULL}
-# Ref from a (num, gen) tuple, without NamedTuple's Python-level __new__
-_new_ref = partial(tuple.__new__, Ref)
-
-_KEY = re.compile(rb"/(" + _PLAIN_NAME + rb")")
-_PRELUDE = re.compile(_SKIP + rb"\d*+" + _SKIP + rb"\d*+" + _SKIP + rb"(?:(obj)" + _SKIP + rb")?")
-_BARE_SIGN_REF = re.compile(_SKIP + rb"\d++" + _R)
+# the digits and `R` after a bare sign that the reference still reads as
+# a reference (`- 0 R`): R must be followed by whitespace or a delimiter
+_BARE_SIGN_REF = re.compile(_SKIP + rb"\d++" + _SKIP + rb"R(?=[" + _WS + _DELIM + rb"])")
 _NAME_RUN = re.compile(rb"[^" + _WS + _DELIM + rb"]*")
 _HEX_RUN = re.compile(rb"[0-9A-Fa-f]*")
 _STRING_SPECIALS = re.compile(rb"[()\\]")
@@ -166,112 +94,6 @@ def parse_whole(digits: bytes) -> int:
     return int(digits or "")
 
 
-def _items(buf: bytes, start: int, end: int) -> list:
-    """The items of an array ``_ENTRY`` framed from ``start`` to ``end``
-    (its ``]``, which the lookahead of a last item may see)."""
-    out = []
-    add = out.append
-    for name, num, gen, real, int_, string, keyword in _ITEMS.findall(buf, start, end + 1):
-        if gen:
-            add(_new_ref((int(num), int(gen))))
-        elif int_:
-            add(int(int_))
-        elif name:
-            add(Name(name[1:].decode("latin-1")))
-        elif real:
-            add(float(real))
-        elif string:
-            add(string[1:-1].decode("latin-1"))
-        else:
-            add(_KEYWORDS_BY_BYTES[keyword])
-    return out
-
-
-def _read_entries(buf: bytes, pos: int, d: dict, depth: int) -> int:
-    """Read the entries ``_ENTRY`` frames from ``pos`` into ``d``, inside
-    ``depth`` open arrays and dictionaries; returns where it stopped: at
-    the ``>>``, or at an entry it leaves to ``lex_object`` (one that
-    ``_ENTRY`` does not frame, would nest past ``MAX_DEPTH``, or holds
-    such an entry)."""
-    match = _ENTRY.match
-    while (m := match(buf, pos)) is not None:
-        k = m.lastindex
-        if k == 2:
-            v = Name(m[2].decode("latin-1"))
-        elif k == 4:
-            v = _new_ref((int(m[3]), int(m[4])))
-        elif k == 6:
-            v = int(m[6])
-        elif depth >= MAX_DEPTH and k >= 9:
-            return pos
-        elif k == 10:
-            v = {}
-            close = _CLOSE_NESTED.match(buf, _read_entries(buf, m.end(), v, depth + 1))
-            if close is None:
-                return pos
-            d[m[1].decode("latin-1")] = v
-            pos = close.end()
-            continue
-        elif k == 9:
-            v = _items(buf, m.start(9), m.end(9))
-        elif k == 5:
-            v = float(m[5])
-        elif k == 7:
-            v = m[7].decode("latin-1")
-        else:
-            v = _KEYWORDS_BY_BYTES[m[8]]
-        d[m[1].decode("latin-1")] = v
-        pos = m.end()
-    return pos
-
-
-def lex_indirect(buf: bytes, pos: int, resolve=None):
-    """The object of the indirect object at ``pos``: ``N G obj`` (either
-    number may be missing) and the object after it, as
-    ``Lexer.read_obj_prelude`` and ``Lexer.lex_object`` read them.
-    ``resolve`` chases an indirect stream ``/Length``.
-
-    A dictionary is read in one pass: one match for the prelude and
-    ``<<``, one per ``_ENTRY`` entry, and one for ``>>`` with the
-    ``stream`` keyword and its EOL, after which a direct ``/Length`` cuts
-    the data. Anything else goes through a ``Lexer`` from where the pass
-    stopped."""
-    m = _OPEN_INDIRECT.match(buf, pos)
-    if m is None:
-        lx = Lexer(buf, resolve)
-        lx.pos = pos
-        lx.read_obj_prelude()
-        return lx.lex_object()
-    d: dict = {}
-    pos = _read_entries(buf, m.end(), d, 1)
-    m = _CLOSE.match(buf, pos)
-    if m is not None:
-        if m.lastindex == 1:  # `stream` and its EOL
-            end = m.end()
-            length = d.get("Length")
-            if (
-                type(length) is int
-                and 0 <= length <= len(buf) - end
-                and _ENDSTREAM.match(buf, end + length) is not None
-            ):
-                return Stream(d, buf[end : end + length])
-            pos = m.start(1) - 6  # an indirect /Length, or the stream's error
-        elif buf.startswith(b"stream", m.end()):
-            pos = m.end()
-        else:
-            return d
-        lx = Lexer(buf, resolve)
-        lx.pos = pos
-        return lx._lex_stream(d)
-    # an entry only lex_object reads, or malformed input
-    lx = Lexer(buf, resolve)
-    lx.pos = pos
-    d = lx._lex_dict_entries(d)
-    if buf.startswith(b"stream", lx.pos):
-        return lx._lex_stream(d)
-    return d
-
-
 class Lexer:
     """Cursor-based lexer over a PDF byte buffer.
 
@@ -281,49 +103,25 @@ class Lexer:
     followed by ``stream`` raise unless ``Length`` is a direct integer.
     """
 
-    __slots__ = ("buf", "pos", "resolve", "depth")
+    __slots__ = ("buf", "pos", "resolve")
 
     def __init__(self, buf: bytes, resolve=None):
         self.buf = buf
         self.pos = 0
         self.resolve = resolve
-        self.depth = 0  # arrays and dictionaries open around ``pos``
 
     # -- object lexing (src/lex.rs:307-533) ---------------------------------
 
     def lex_object(self):
         """One object at ``pos``, with the whitespace and comments before
         and after it; ``pos`` ends on the next token."""
-        m = _TOKEN.match(self.buf, self.pos)
-        kind = m.lastgroup
-        if kind == "rare":
-            return self._lex_rare(m.end())
-        self.pos = m.end()
-        if kind == "ref":
-            return Ref(int(m["num"]), int(m["gen"]))
-        if kind == "dict":
-            d = self._lex_dict_entries()
-            if self.buf.startswith(b"stream", self.pos):
-                return self._lex_stream(d)
-            return d
-        if kind == "name":
-            return Name(m["name"].decode("latin-1"))
-        if kind == "int":
-            return int(m["int"])
-        if kind == "str":
-            return m["str"].decode("latin-1")
-        if kind == "array":
-            return self._lex_array()
-        if kind == "real":
-            return float(m["real"])
-        return True if kind == "true" else False if kind == "false" else NULL
+        return _scan.object(self, self.buf, self.pos)
 
     def lex_dict_only(self) -> dict:
         """``<< ... >>`` without stream detection (src/lex.rs:366-389)."""
         if not self.buf.startswith(b"<<", self.pos):
             raise _expected(self.buf, self.pos, b"<<")
-        self.pos = _skip(self.buf, self.pos + 2).end()
-        return self._lex_dict_entries()
+        return _scan.entries(self, self.buf, self.pos + 2)
 
     def lex_dict(self):
         """Dict, or Stream when followed by the ``stream`` keyword
@@ -332,52 +130,6 @@ class Lexer:
         if self.buf.startswith(b"stream", self.pos):
             return self._lex_stream(d)
         return d
-
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise PdfParseError(f"objects nested deeper than {MAX_DEPTH} levels")
-
-    def _lex_dict_entries(self, d: dict | None = None) -> dict:
-        """Entries from ``pos`` (after ``<<``) through ``>>`` and the
-        whitespace after it, added to ``d``: ``_read_entries`` reads the
-        entries it frames whole, ``lex_object`` the value of any other."""
-        self._enter()
-        buf = self.buf
-        if d is None:
-            d = {}
-        while True:
-            pos = _read_entries(buf, self.pos, d, self.depth)
-            if buf.startswith(b">>", pos):
-                self.pos = _skip(buf, pos + 2).end()
-                self.depth -= 1
-                return d
-            if pos >= len(buf):
-                raise PdfParseError("unterminated dictionary")
-            if buf[pos] == 0x3E:  # '>'
-                raise _expected(buf, pos + 1, b">")
-            m = _KEY.match(buf, pos)
-            if m is not None:
-                self.pos = m.end()
-                key = m[1].decode("latin-1")
-            else:
-                self.pos = pos
-                key = self._lex_name()  # '#XX' escapes, or the missing-'/' error
-            d[key] = self.lex_object()
-
-    def _lex_array(self) -> list:
-        self._enter()
-        buf = self.buf
-        arr = []
-        while True:
-            pos = self.pos
-            if pos >= len(buf):
-                raise PdfParseError("unterminated array")
-            if buf[pos] == 0x5D:  # ']'
-                self.pos = _skip(buf, pos + 1).end()
-                self.depth -= 1
-                return arr
-            arr.append(self.lex_object())
 
     def _lex_stream(self, d: dict) -> Stream:
         """The ``stream`` keyword at ``pos``, its EOL, ``/Length`` raw bytes
@@ -407,10 +159,32 @@ class Lexer:
         self.pos = _skip(buf, pos + 9).end()
         return Stream(d, raw)
 
-    # -- rare forms ---------------------------------------------------------
+    # -- forms the scanner hands over (scan.c) -------------------------------
+
+    def _lex_item(self, pos: int):
+        """An array item at ``pos`` that is not plain, or the end of the
+        buffer where the array's ``]`` is missing."""
+        if pos >= len(self.buf):
+            raise PdfParseError("unterminated array")
+        return self._lex_rare(pos)
+
+    def _lex_key(self, pos: int) -> str:
+        """A dictionary key at ``pos`` that is not a plain name: a name
+        with ``#XX`` escapes, or the error where the key or ``>>`` should
+        be."""
+        buf = self.buf
+        if pos >= len(buf):
+            raise PdfParseError("unterminated dictionary")
+        if buf[pos] == 0x3E:  # '>'
+            raise _expected(buf, pos + 1, b">")
+        self.pos = pos
+        return self._lex_name()  # '#XX' escapes, or the missing-'/' error
+
+    def _too_deep(self):
+        raise PdfParseError(f"objects nested deeper than {MAX_DEPTH} levels")
 
     def _lex_rare(self, pos: int):
-        """An object ``_TOKEN`` does not frame, at ``pos`` (past leading
+        """An object the scanner does not frame, at ``pos`` (past leading
         whitespace): escaped or nested strings, hex strings, ``#XX`` names,
         a sign or ``.`` without digits, and malformed input."""
         buf = self.buf
@@ -558,7 +332,20 @@ class Lexer:
     def read_obj_prelude(self) -> None:
         """Skip ``N G obj`` (either number may be missing) and the
         whitespace after it."""
-        m = _PRELUDE.match(self.buf, self.pos)
-        if m[1] is None:
-            raise _expected(self.buf, m.end(), b"obj")
-        self.pos = m.end()
+        end = _scan.prelude(self.buf, self.pos)
+        if end < 0:
+            raise _expected(self.buf, ~end, b"obj")
+        self.pos = end
+
+
+KERNEL = Kernel("scan")
+_scan = load(build(KERNEL))
+_scan.setup(Lexer, Name, Ref, Stream, NULL, MAX_DEPTH)
+
+
+def lex_indirect(buf: bytes, pos: int, resolve=None):
+    """The object of the indirect object at ``pos``: ``N G obj`` (either
+    number may be missing) and the object after it, as
+    ``Lexer.read_obj_prelude`` and ``Lexer.lex_object`` read them, in one
+    scanner call. ``resolve`` chases an indirect stream ``/Length``."""
+    return _scan.indirect(buf, pos, resolve)

@@ -42,6 +42,9 @@ class Compressed(NamedTuple):
 
 
 FREE = "free"
+# entries an xref stream may declare when they take no bytes (/W [0 0 0]);
+# otherwise its decoded data bounds their count
+MAX_XREF_ENTRIES = 1 << 20
 # InUse from an (offset, gen) tuple, without NamedTuple's Python-level __new__
 _new_in_use = partial(tuple.__new__, InUse)
 
@@ -140,6 +143,10 @@ def _parse_classic_table(buf: bytes, pos: int):
 
 
 def _parse_xref_stream(lx: Lexer):
+    """An xref stream section. ``/W``, ``/Size`` and ``/Index`` must be
+    whole numbers, and the entries ``/Index`` declares must fit in the
+    decoded data (or, for entries of width zero, in
+    ``MAX_XREF_ENTRIES``), checked before any entry is read."""
     lx.read_obj_prelude()
     obj = lx.lex_dict()
     if not isinstance(obj, Stream):
@@ -147,12 +154,22 @@ def _parse_xref_stream(lx: Lexer):
     d = obj.dict
     data = decode_stream(obj)
     w = d["W"]
-    if len(w) != 3:
+    if not isinstance(w, list) or len(w) != 3 or not all(map(_whole, w)):
         raise PdfParseError(f"bad /W {w!r}")
     size = d["Size"]
+    if not _whole(size):
+        raise PdfParseError(f"bad xref stream /Size {size!r}")
     index = d.get("Index", [0, size])
-    pairs = [(index[i], index[i + 1]) for i in range(0, len(index), 2)]
+    if not isinstance(index, list) or len(index) % 2 or not all(map(_whole, index)):
+        raise PdfParseError(f"bad xref stream /Index {index!r}")
     entry_len = sum(w)
+    entries = sum(index[1::2])
+    if entry_len and entries > len(data) // entry_len:
+        raise PdfParseError(
+            f"xref stream declares {entries} entries, its data holds {len(data) // entry_len}"
+        )
+    if not entry_len and entries > MAX_XREF_ENTRIES:
+        raise PdfParseError(f"xref stream declares {entries} entries of width 0")
     objects: dict = {}
     cursor = 0
 
@@ -164,7 +181,7 @@ def _parse_xref_stream(lx: Lexer):
         cursor += width
         return v
 
-    for first, count in pairs:
+    for first, count in zip(index[::2], index[1::2]):
         for i in range(count):
             t = field(w[0], 1)
             f2 = field(w[1], 0)
@@ -178,6 +195,10 @@ def _parse_xref_stream(lx: Lexer):
                 objects.setdefault(num, Compressed(f2, f3))
             # unknown types -> treated as null references (parser.rs:130-135)
     return Xref(objects), d
+
+
+def _whole(v) -> bool:
+    return type(v) is int and v >= 0
 
 
 def _parse_section(buf: bytes, offset: int):

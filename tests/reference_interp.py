@@ -14,8 +14,11 @@ from __future__ import annotations
 import re
 
 from pdf_ray.pdfcore.images import decode_image_pixels, encode_png, media_ref_for_pixels
-from pdf_ray.pdfcore.lexer import NUMBER, SKIP, WHITESPACE, Lexer
+from pdf_ray.pdfcore.lexer import SKIP, WHITESPACE, Lexer
 from pdf_ray.pdfcore.objects import NULL, Name, PdfParseError, Stream
+
+# a real, else an int (the number pattern the engine's lexer had then)
+NUMBER = re.compile(rb"[+-]?+(?:\d++\.\d*+|\.\d++)|[+-]?\d+")
 
 # -- content tokenizer --------------------------------------------------
 

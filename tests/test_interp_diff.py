@@ -259,6 +259,38 @@ def test_soup_document_exercises_every_output(soup_doc):
     assert it.ts.font_size == 9.0 and it.ctm == interp.IDENTITY
 
 
+# -- TJ soups ---------------------------------------------------------------
+
+# TJ array items: plain strings and numbers, and the items the scanner
+# hands back to Python or that the show operator refuses
+TJ_ITEMS = [
+    b"(a)", b"(b c)", b"()", b"-120", b"50", b"3.5", b"-.5", b"0", b"(esc\\)aped)", b"(a (n) b)",
+    b"<48>", b"<FEFF0041>", b"<>", b"/N", b"/A#42", b"true", b"false", b"null", b"1 0 R",
+    b"[(x) 1]", b"[]", b"[[(d)]]", b"<< /K 1 >>",
+    b"9" * 400, b"-" + b"9" * 400, b"9" * 320 + b".5", b"9" * 301, b"9" * 4301,
+]
+tj_arrays = st.tuples(
+    st.lists(st.sampled_from(TJ_ITEMS), max_size=8),
+    st.sampled_from([b" ", b"", b"\n", b"%c\n"]),
+    st.sampled_from([b"] TJ", b"]TJ", b"] Tj", b"] TJ TJ", b"]", b"", b" TJ"]),  # some unterminated
+).map(lambda t: b"[" + t[1].join(t[0]) + t[2])
+tj_soups = st.tuples(
+    st.lists(st.one_of(tj_arrays, tj_arrays, st.sampled_from(STATEMENT_FRAGMENTS)), max_size=6),
+    st.sampled_from([b" ET", b""]),  # without ET, an open array meets the end
+).map(lambda t: b"BT /F1 12 Tf " + b" ".join(t[0]) + t[1])
+
+
+@given(tj_soups)
+@settings(max_examples=200, deadline=None)
+def test_tj_soups_match_reference(soup_doc, buf):
+    """TJ arrays holding nested arrays, names, bools, hex strings, numbers
+    past float range, or cut off before ``]``: equal spans, marks and
+    errors under every flag set."""
+    doc, resources = soup_doc
+    assert tokens(content.tokenize, buf) == tokens(ref.tokenize, buf)
+    assert_same(doc, SOUP_HIDDEN, (buf, resources), label=buf)
+
+
 EDGE_STREAMS = [
     b"BT /F1 12 Tf BI /W 2 /H 1 /CS /G /BPC 8 ID \x00\xff EI (after) Tj ET",
     b"1 2 BI /W 2 /H 1 /BPC 8 ID \x00\xff EI",  # leftovers join the dict

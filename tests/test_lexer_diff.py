@@ -326,7 +326,11 @@ def test_objstm_headers_of_soups_match_reference(parts, n):
             return data
 
     got = outcome(lambda: Stub()._load_objstm(1)[0])
-    assert got == outcome(lambda: ref.objstm_pairs(data, n))
+    want = outcome(lambda: ref.objstm_pairs(data, n))
+    if want == ("raise", ValueError, "invalid literal for int() with base 10: ''"):
+        # /N counts more pairs than the header has: now a parse error
+        want = ("raise", PdfParseError, "bad ObjStm header")
+    assert got == want
 
 
 @pytest.mark.parametrize(
